@@ -19,6 +19,7 @@ from .cloning import (
     discard_blocks,
     discard_body,
     map_value,
+    matches_clone,
 )
 from .controlflow import Br, CondBr, Phi
 from .builder import IRBuilder, UndefVector
@@ -82,7 +83,7 @@ from .verifier import VerificationError, verify_function, verify_module
 __all__ = [
     "Argument", "BasicBlock", "Br", "Call", "clone_function",
     "clone_instruction", "CondBr", "discard_blocks", "discard_body",
-    "DominatorInfo", "map_value", "Phi", "predecessors",
+    "DominatorInfo", "map_value", "matches_clone", "Phi", "predecessors",
     "reachable_blocks", "reverse_post_order", "BINARY_OPCODE_NAMES", "BinaryOperator",
     "Cmp", "COMMUTATIVE_OPCODES", "Constant", "constants_equal",
     "ensure_names", "ExtractElement", "F32", "F64", "FloatType", "Function",

@@ -67,8 +67,18 @@ class BasicBlock:
         self._invalidate_index()
 
     def remove(self, inst: Instruction) -> None:
-        """Detach ``inst`` from this block (does not drop operand uses)."""
-        pos = self.index_of(inst)
+        """Detach ``inst`` from this block (does not drop operand uses).
+
+        Uses the position cache only while it is valid: rebuilding it
+        for every removal would make erasing k instructions O(k·n) in
+        Python rather than in ``list.index``.
+        """
+        if inst.parent is not self:
+            raise ValueError(f"{inst!r} is not in block {self.name}")
+        if self._index_cache_valid:
+            pos = self._index_cache[id(inst)]
+        else:
+            pos = self._instructions.index(inst)
         del self._instructions[pos]
         inst.parent = None
         self._invalidate_index()

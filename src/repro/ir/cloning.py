@@ -35,6 +35,9 @@ from .values import Value
 #: maps original values to their replacements during cloning
 ValueMap = dict[int, Value]
 
+#: instruction classes carrying fields beyond type, name and operands
+_EXTRA_FIELDS = frozenset({Phi, Br, CondBr, Cmp, ShuffleVector, Call})
+
 
 def map_value(value: Value, vmap: ValueMap) -> Value:
     """The replacement for ``value`` under ``vmap`` (identity default)."""
@@ -84,9 +87,12 @@ def clone_function(func: Function, name: Optional[str] = None) -> Function:
     The clone gets its own arguments, blocks and instructions (names
     preserved); constants, global arrays and callee functions stay
     shared.  Control flow is cloned structurally — branch targets and
-    phi edges are remapped to the cloned blocks, and phi incoming values
-    may reference forward definitions (loop back-edges), so operand
-    remapping happens in a second pass once every instruction exists.
+    phi edges are remapped to the cloned blocks.  Operands are remapped
+    as each instruction is cloned; only forward references (phi edges,
+    which may follow loop back-edges, and defs that appear later in
+    block order) are patched in a second pass once every instruction
+    exists.  Every cloned value's use list comes out in block order,
+    phi edges last, whatever the order in ``func``.
     """
     clone = Function(
         name if name is not None else func.name,
@@ -104,10 +110,11 @@ def clone_function(func: Function, name: Optional[str] = None) -> Function:
         clone.blocks.append(new_block)
         block_map[id(block)] = new_block
 
-    # Pass 1: clone every instruction.  Operands initially reference the
-    # *original* values (identity vmap); pass 2 rewrites them, which
-    # also handles defs that only appear later in block order.
+    # Pass 1: clone every instruction, operands mapped through ``vmap``.
+    # An instruction operand missing from ``vmap`` is defined later in
+    # block order (or is foreign to ``func``): pass 2 revisits it.
     phis: list[tuple[Phi, Phi]] = []
+    forward: list[tuple[Instruction, int]] = []
     for block in func.blocks:
         new_block = block_map[id(block)]
         for inst in block:
@@ -117,30 +124,109 @@ def clone_function(func: Function, name: Optional[str] = None) -> Function:
             elif isinstance(inst, Br):
                 copy = Br(block_map[id(inst.target)])
             elif isinstance(inst, CondBr):
-                copy = CondBr(inst.condition,
+                copy = CondBr(map_value(inst.condition, vmap),
                               block_map[id(inst.on_true)],
                               block_map[id(inst.on_false)])
             elif isinstance(inst, Ret):
-                copy = Ret(inst.return_value)
+                value = inst.return_value
+                copy = Ret(None if value is None else map_value(value, vmap))
             else:
-                copy = clone_instruction(inst, {})
+                copy = clone_instruction(inst, vmap)
+            # (a phi copy starts with no operands)
+            originals = inst.operands
+            for index, operand in enumerate(copy.operands):
+                if operand is originals[index] and isinstance(operand,
+                                                              Instruction):
+                    forward.append((copy, index))
             copy.name = inst.name
             vmap[id(inst)] = copy
             new_block.append(copy)
 
-    # Pass 2: remap operands (and phi edges) to their clones.
-    for block in clone.blocks:
-        for inst in block:
-            for index, operand in enumerate(inst.operands):
-                mapped = vmap.get(id(operand))
-                if mapped is not None and mapped is not operand:
-                    inst.set_operand(index, mapped)
+    # Pass 2: patch forward references.  A forward user precedes its
+    # def in block order, so its use moves ahead of the def's pass-1
+    # uses: use lists stay in block order.
+    patched: dict[Value, int] = {}
+    for copy, index in forward:
+        mapped = vmap.get(id(copy.operands[index]))
+        if mapped is not None:
+            copy.set_operand(index, mapped)
+            patched[mapped] = patched.get(mapped, 0) + 1
+    for value, count in patched.items():
+        uses = value._uses
+        value._uses = uses[-count:] + uses[:-count]
     for original, copy in phis:
         for value, pred in original.incoming():
             copy.add_incoming(map_value(value, vmap), block_map[id(pred)])
 
     clone._name_counts = dict(func._name_counts)
     return clone
+
+
+def matches_clone(func: Function, clone: Function) -> bool:
+    """True when restoring ``clone``, an earlier :func:`clone_function`
+    copy of ``func``, would give back ``func`` as it is now.
+
+    Compares every field :func:`clone_function` copies, with operands,
+    phi edges and branch targets mapped positionally from ``func`` to
+    ``clone``.  Keep the two in step: a field the clone copies but this
+    check skips would let a stale snapshot stand in for a changed body.
+    """
+    if func._name_counts != clone._name_counts:
+        return False
+    if len(func.arguments) != len(clone.arguments):
+        return False
+    vmap: ValueMap = {}
+    for arg, copy in zip(func.arguments, clone.arguments):
+        if arg.name != copy.name or arg.type is not copy.type:
+            return False
+        vmap[id(arg)] = copy
+    if len(func.blocks) != len(clone.blocks):
+        return False
+    block_map: dict[int, BasicBlock] = {}
+    pairs: list[tuple[Instruction, Instruction]] = []
+    special: list[tuple[Instruction, Instruction]] = []
+    for block, block_copy in zip(func.blocks, clone.blocks):
+        if block.name != block_copy.name or len(block) != len(block_copy):
+            return False
+        block_map[id(block)] = block_copy
+        for inst, copy in zip(block, block_copy):
+            cls = inst.__class__
+            if (cls is not copy.__class__
+                    or inst.opcode != copy.opcode
+                    or inst.type is not copy.type
+                    or inst.name != copy.name):
+                return False
+            vmap[id(inst)] = copy
+            pairs.append((inst, copy))
+            if cls in _EXTRA_FIELDS:
+                special.append((inst, copy))
+
+    get = vmap.get
+    for inst, copy in pairs:
+        # (values compare by identity)
+        if [get(id(op), op) for op in inst.operands] != copy.operands:
+            return False
+    for inst, copy in special:
+        if isinstance(inst, Phi):
+            edges = [block_map.get(id(pred)) for pred in inst.incoming_blocks]
+            if edges != copy.incoming_blocks:
+                return False
+        elif isinstance(inst, Br):
+            if block_map.get(id(inst.target)) is not copy.target:
+                return False
+        elif isinstance(inst, CondBr):
+            if (block_map.get(id(inst.on_true)) is not copy.on_true
+                    or block_map.get(id(inst.on_false)) is not copy.on_false):
+                return False
+        elif isinstance(inst, Cmp):
+            if inst.predicate != copy.predicate:
+                return False
+        elif isinstance(inst, ShuffleVector):
+            if inst.mask != copy.mask:
+                return False
+        elif inst.callee is not copy.callee:  # Call
+            return False
+    return True
 
 
 def discard_blocks(blocks: list[BasicBlock]) -> None:
@@ -172,5 +258,6 @@ __all__ = [
     "discard_blocks",
     "discard_body",
     "map_value",
+    "matches_clone",
     "ValueMap",
 ]

@@ -49,43 +49,45 @@ def _load_key(inst):
 
 def run_cse(func: Function) -> bool:
     """Merge structurally identical pure expressions and redundant loads
-    per block."""
+    per block, in one scan.
+
+    A merge rewrites every later use of the duplicate to the surviving
+    instruction, so keys computed further down the block already see the
+    survivor and cascades (``a+b`` merged makes ``(a+b)*c`` a duplicate)
+    fold in the same scan.  Keys of earlier instructions never mention a
+    later one, so the tables stay valid across a merge.
+    """
     changed = False
     aa = AliasAnalysis()
     for block in func.blocks:
-        progress = True
-        while progress:
-            progress = False
-            seen: dict = {}
-            loads: dict = {}
-            for inst in block.instructions:
-                if isinstance(inst, Call):
-                    loads.clear()
-                    continue
-                if isinstance(inst, Store):
-                    # keep loads the store provably cannot touch
-                    loads = {
-                        key: load
-                        for key, load in loads.items()
-                        if not aa.instructions_may_conflict(load, inst)
-                    }
-                    continue
-                key = _expression_key(inst)
-                table = seen
-                if key is None:
-                    key = _load_key(inst)
-                    table = loads
-                if key is None:
-                    continue
-                original = table.get(key)
-                if original is None:
-                    table[key] = inst
-                    continue
-                inst.replace_all_uses_with(original)
-                inst.erase_from_parent()
-                changed = True
-                progress = True
-                break  # operand identities changed; rebuild the table
+        seen: dict = {}
+        loads: dict = {}
+        for inst in block.instructions:
+            if isinstance(inst, Call):
+                loads.clear()
+                continue
+            if isinstance(inst, Store):
+                # keep loads the store provably cannot touch
+                loads = {
+                    key: load
+                    for key, load in loads.items()
+                    if not aa.instructions_may_conflict(load, inst)
+                }
+                continue
+            key = _expression_key(inst)
+            table = seen
+            if key is None:
+                key = _load_key(inst)
+                table = loads
+            if key is None:
+                continue
+            original = table.get(key)
+            if original is None:
+                table[key] = inst
+                continue
+            inst.replace_all_uses_with(original)
+            inst.erase_from_parent()
+            changed = True
     return changed
 
 

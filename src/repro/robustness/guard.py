@@ -1,12 +1,15 @@
 """Per-pass snapshot/rollback and the differential-execution oracle.
 
-The guarded driver treats every pass as untrusted: before a pass runs,
-the function is cloned (:func:`repro.ir.cloning.clone_function`); if the
-pass raises, or the IR verifier rejects its output, the snapshot is
-restored in place and compilation continues with the remaining passes —
-degrading toward the paper's scalar "O3" baseline instead of crashing
-the compile.  Strict mode re-raises as a :class:`CompilerError`
-subclass, preserving today's fail-fast behaviour for tests.
+The guarded driver treats every pass as untrusted: every pass runs
+against a snapshot of its input (:func:`repro.ir.cloning.clone_function`);
+if the pass raises, or the IR verifier rejects its output, the snapshot
+is restored in place and compilation continues with the remaining
+passes — degrading toward the paper's scalar "O3" baseline instead of
+crashing the compile.  Strict mode re-raises as a :class:`CompilerError`
+subclass, preserving today's fail-fast behaviour for tests.  A snapshot
+is only taken when the function differs from the one already held:
+most passes change nothing, and a structural comparison
+(:func:`repro.ir.cloning.matches_clone`) is cheaper than a clone.
 
 The :class:`DifferentialOracle` closes the remaining gap: a pass can
 produce *valid but wrong* IR that no verifier catches.  The oracle
@@ -23,7 +26,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
-from ..ir.cloning import clone_function, discard_blocks, discard_body
+from ..ir.cloning import (
+    clone_function,
+    discard_blocks,
+    discard_body,
+    matches_clone,
+)
 from ..ir.function import Function, Module
 from ..ir.verifier import VerificationError, verify_function
 from .diagnostics import (
@@ -212,7 +220,9 @@ class PassGuard:
         self.rolled_back: list[str] = []
         self._reference: Optional[FunctionSnapshot] = None
         #: pre-pass snapshot of the last pass that committed, kept as a
-        #: recovery point for corruption the verifier cannot see
+        #: recovery point for corruption the verifier cannot see; the
+        #: next pass reuses it as its own snapshot when the function
+        #: still matches it
         self._last_good: Optional[FunctionSnapshot] = None
         self._last_pass_name: str = ""
 
@@ -226,7 +236,7 @@ class PassGuard:
         policy = self.policy
         try:
             self._capture_reference(name, func)
-            snapshot = FunctionSnapshot(func)
+            snapshot = self._pre_pass_snapshot(func)
         except Exception as exc:
             # The current IR is so corrupt it cannot even be cloned —
             # a previous pass damaged it in a way the verifier missed
@@ -246,14 +256,19 @@ class PassGuard:
         if error is None:
             # Retain the pre-pass state as the recovery point in case a
             # later snapshot fails on verifier-invisible corruption.
-            if self._last_good is not None:
-                self._last_good.discard()
-            self._last_good = snapshot
+            if self._last_good is not snapshot:
+                if self._last_good is not None:
+                    self._last_good.discard()
+                self._last_good = snapshot
             self._last_pass_name = name
             result.timings.append(PassTiming(name, elapsed, changed))
             return changed
 
         snapshot.restore()
+        if snapshot is self._last_good:
+            # The rollback consumed the recovery point; the restored
+            # state is the same pre-pass state, so snapshot it again.
+            self._last_good = FunctionSnapshot(func)
         self.rolled_back.append(name)
         result.timings.append(PassTiming(name, elapsed, False))
         is_verify = isinstance(error, VerificationError)
@@ -276,6 +291,22 @@ class PassGuard:
         return False
 
     # ------------------------------------------------------------------
+
+    def _pre_pass_snapshot(self, func: Function) -> FunctionSnapshot:
+        """A snapshot of ``func`` as it is now: the last committed
+        pass's snapshot when that pass left the function unchanged
+        (compared structurally, whatever the pass returned), otherwise
+        a fresh clone."""
+        last = self._last_good
+        if last is not None and last.live:
+            try:
+                unchanged = matches_clone(func, last.reference())
+            except Exception:
+                # Damaged beyond comparison: let the clone decide.
+                unchanged = False
+            if unchanged:
+                return last
+        return FunctionSnapshot(func)
 
     def _capture_reference(self, name: str, func: Function) -> None:
         policy = self.policy

@@ -1,5 +1,7 @@
 """Tests for basic blocks, functions and modules."""
 
+import random
+
 import pytest
 
 from repro.ir import (
@@ -72,6 +74,57 @@ class TestBasicBlock:
         other = BinaryOperator("add", func.argument("i"), Constant(I64, 1))
         with pytest.raises(ValueError):
             block.index_of(other)
+
+    def test_remove_interleaved_with_inserts_and_queries(self):
+        """Many removals, with the position cache alternately valid
+        (after a query) and stale (after an edit), against a plain list
+        model of the block."""
+        func, block = make_func()
+        i = func.argument("i")
+        rng = random.Random(7)
+        model = [
+            block.append(BinaryOperator("add", i, Constant(I64, k)))
+            for k in range(60)
+        ]
+        for step in range(400):
+            action = rng.random()
+            if action < 0.4 and model:
+                victim = rng.choice(model)
+                if rng.random() < 0.5:
+                    block.index_of(model[0])  # leave the cache valid
+                block.remove(victim)
+                model.remove(victim)
+                assert victim.parent is None
+            elif action < 0.7 and model:
+                anchor = rng.choice(model)
+                inst = BinaryOperator("add", i, Constant(I64, 100 + step))
+                block.insert_before(anchor, inst)
+                model.insert(model.index(anchor), inst)
+            elif model:
+                a, b = rng.choice(model), rng.choice(model)
+                assert block.index_of(a) == model.index(a)
+                assert block.comes_before(a, b) == (
+                    model.index(a) < model.index(b))
+            assert block.instructions == model
+        for pos, inst in enumerate(model):
+            assert block.index_of(inst) == pos
+
+    def test_remove_foreign_instruction_rejected(self):
+        func, block = make_func()
+        i = func.argument("i")
+        inside = block.append(BinaryOperator("add", i, Constant(I64, 1)))
+        other_block = func.add_block("other")
+        elsewhere = other_block.append(
+            BinaryOperator("add", i, Constant(I64, 2)))
+        detached = BinaryOperator("add", i, Constant(I64, 3))
+        for warm_cache in (False, True):
+            if warm_cache:
+                block.index_of(inside)
+            for inst in (elsewhere, detached):
+                with pytest.raises(ValueError):
+                    block.remove(inst)
+        assert block.instructions == [inside]
+        assert elsewhere.parent is other_block
 
     def test_move_before(self):
         func, block = make_func()

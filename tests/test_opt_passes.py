@@ -2,15 +2,22 @@
 
 import pytest
 
+from repro.analysis.aliasing import AliasAnalysis
 from repro.ir import (
+    Call,
     Constant,
     Function,
     GlobalArray,
     I64,
     IRBuilder,
     Module,
+    parse_module,
+    print_function,
+    print_module,
+    Store,
     verify_function,
 )
+from repro.kernels import ALL_KERNELS, build_suite, SuiteSpec
 from repro.opt import (
     PassManager,
     run_constfold,
@@ -19,6 +26,7 @@ from repro.opt import (
     run_instcombine,
     scalar_pipeline,
 )
+from repro.opt.cse import _expression_key, _load_key
 
 
 def make_env():
@@ -148,6 +156,149 @@ class TestCSE:
         run_cse(func)
         subs = [inst for inst in func.entry if inst.opcode == "sub"]
         assert len(subs) == 2
+
+    def test_cascade_merges_in_one_call(self):
+        """``t2 = a+b`` duplicates ``t1``; once merged, ``t2*c`` is a
+        duplicate of ``t1*c``.  One call folds both."""
+        module, func, builder, a = make_env()
+        i = func.argument("i")
+        b = builder.load(builder.gep(a, builder.i64(3)))
+        c = builder.load(builder.gep(a, builder.i64(5)))
+        t1 = builder.add(i, b)
+        u1 = builder.mul(t1, c)
+        t2 = builder.add(i, b)
+        u2 = builder.mul(t2, c)
+        store1 = builder.store(u1, builder.gep(a, i))
+        store2 = builder.store(u2, builder.gep(a, t1))
+        builder.ret()
+        assert run_cse(func)
+        verify_function(func)
+        assert t2.parent is None and u2.parent is None
+        assert store1.value is u1 and store2.value is u1
+        assert [inst.opcode for inst in func.entry].count("mul") == 1
+        assert not run_cse(func)
+
+    def test_may_alias_store_kills_load_after_merge(self):
+        """The geps merge first, so both loads read through one pointer;
+        the store between them may write that element (its index is
+        unknown), so the second load must stay.  A store to another
+        array does not kill it."""
+        module, func, builder, a = make_env()
+        b_array = module.add_global(GlobalArray("B", I64, 64))
+        i = func.argument("i")
+        j = builder.load(builder.gep(b_array, builder.i64(0)))
+        p1 = builder.gep(a, i)
+        l1 = builder.load(p1)
+        builder.store(builder.i64(9), builder.gep(a, j))  # may alias
+        p2 = builder.gep(a, i)
+        l2 = builder.load(p2)
+        builder.store(builder.i64(7), builder.gep(b_array, i))  # no alias
+        l3 = builder.load(builder.gep(a, i))
+        builder.store(builder.add(builder.add(l1, l2), l3),
+                      builder.gep(a, builder.i64(1)))
+        builder.ret()
+        assert run_cse(func)
+        verify_function(func)
+        assert p2.parent is None and l2.ptr is p1
+        assert l2.parent is not None          # killed by the may-alias store
+        assert l3.parent is None              # merged into l2
+        loads = [inst for inst in func.entry if inst.opcode == "load"]
+        assert loads == [j, l1, l2]
+
+
+def restart_cse(func: Function) -> bool:
+    """The block scan ``run_cse`` replaced, kept as its reference: after
+    every merge, restart the block with freshly built tables."""
+    changed = False
+    aa = AliasAnalysis()
+    for block in func.blocks:
+        progress = True
+        while progress:
+            progress = False
+            seen: dict = {}
+            loads: dict = {}
+            for inst in block.instructions:
+                if isinstance(inst, Call):
+                    loads.clear()
+                    continue
+                if isinstance(inst, Store):
+                    loads = {
+                        key: load
+                        for key, load in loads.items()
+                        if not aa.instructions_may_conflict(load, inst)
+                    }
+                    continue
+                key = _expression_key(inst)
+                table = seen
+                if key is None:
+                    key = _load_key(inst)
+                    table = loads
+                if key is None:
+                    continue
+                original = table.get(key)
+                if original is None:
+                    table[key] = inst
+                    continue
+                inst.replace_all_uses_with(original)
+                inst.erase_from_parent()
+                changed = True
+                progress = True
+                break
+    return changed
+
+
+SUITE_SEEDS = (0, 1, 2, 3, 453)
+CSE_CASES = sorted(ALL_KERNELS) + [f"suite-{seed}" for seed in SUITE_SEEDS]
+
+
+def cse_input(case: str) -> str:
+    """The printed module of a catalog kernel or a generated suite."""
+    if case.startswith("suite-"):
+        seed = int(case.split("-")[1])
+        return print_module(build_suite(SuiteSpec(case, 1, 2, 2, seed=seed)))
+    module, _ = ALL_KERNELS[case].build()
+    return print_module(module)
+
+
+class TestCSEMatchesRestartScan:
+    @pytest.mark.parametrize("case", CSE_CASES)
+    def test_same_ir_and_result(self, case):
+        text = cse_input(case)
+        ours, reference = parse_module(text), parse_module(text)
+        for name, func in ours.functions.items():
+            expected = restart_cse(reference.get_function(name))
+            assert run_cse(func) == expected
+            assert print_function(func) == print_function(
+                reference.get_function(name))
+
+    @pytest.mark.parametrize("case", CSE_CASES)
+    def test_same_ir_through_the_scalar_pipeline(self, case):
+        """Every cse run of the scalar pipeline (including the
+        post-unroll one, with if-conversion and unroll-and-SLP on) sees
+        the input the restart scan would, and returns the same flag."""
+        text = cse_input(case)
+        ours, reference = parse_module(text), parse_module(text)
+        for name, func in ours.functions.items():
+            manager = scalar_pipeline(ifconvert="on", loop_vectorize=True)
+            ref_manager = scalar_pipeline(ifconvert="on",
+                                          loop_vectorize=True)
+            ref_manager.wrap_passes(
+                lambda pass_name, pass_fn: (
+                    restart_cse if pass_name.startswith("cse") else pass_fn))
+            result = manager.run_function(func)
+            ref_func = reference.get_function(name)
+            ref_result = ref_manager.run_function(ref_func)
+            assert [(t.name, t.changed) for t in result.timings] == [
+                (t.name, t.changed) for t in ref_result.timings]
+            assert print_function(func) == print_function(ref_func)
+
+    def test_cases_exercise_merges(self):
+        merged = 0
+        for case in CSE_CASES:
+            module = parse_module(cse_input(case))
+            merged += sum(run_cse(func)
+                          for func in module.functions.values())
+        assert merged >= len(CSE_CASES)
 
 
 class TestInstCombine:

@@ -10,10 +10,25 @@ from __future__ import annotations
 
 import pytest
 
+import repro.robustness.guard as guard_module
 from repro.cli import main
 from repro.interp import compare_runs
-from repro.ir import clone_function, print_function, verify_function
-from repro.opt import compile_function
+from repro.ir import (
+    BinaryOperator,
+    clone_function,
+    Function,
+    GlobalArray,
+    I32,
+    I64,
+    IRBuilder,
+    matches_clone,
+    Module,
+    print_function,
+    vector_of,
+    verify_function,
+)
+from repro.kernels import ALL_KERNELS
+from repro.opt import compile_function, PassManager
 from repro.opt.pipelines import build_pipeline
 from repro.robustness import (
     Budget,
@@ -233,6 +248,259 @@ class TestPassGuard:
         result = compile_function(func, VectorizerConfig.o3())
         assert result.report.function == func.name
         assert result.report.config == "O3"
+
+
+# ---------------------------------------------------------------------------
+# Clone-on-change snapshots
+# ---------------------------------------------------------------------------
+
+
+def count_clones(monkeypatch) -> list[str]:
+    """Record every snapshot clone the guard takes."""
+    calls: list[str] = []
+    real = guard_module.clone_function
+
+    def counting(func, *args, **kwargs):
+        calls.append(func.name)
+        return real(func, *args, **kwargs)
+
+    monkeypatch.setattr(guard_module, "clone_function", counting)
+    return calls
+
+
+def noop(func):
+    return False
+
+
+def boom(func):
+    raise RuntimeError("boom")
+
+
+def run_guarded(func, *passes, faults=None):
+    guard = PassGuard()
+    manager = PassManager(guard=guard)
+    for name, pass_fn in passes:
+        manager.add(name, pass_fn)
+    if faults is not None:
+        faults.instrument(manager)
+    manager.run_function(func)
+    return guard
+
+
+class TestCloneOnChange:
+    def test_no_op_pipeline_clones_once(self, monkeypatch):
+        _, func = build()
+        calls = count_clones(monkeypatch)
+        run_guarded(func, *[(f"noop{k}", noop) for k in range(6)])
+        assert calls == [func.name]
+
+    def test_catalog_compile_clones_fewer_times_than_passes(
+            self, monkeypatch):
+        _, func = ALL_KERNELS["453.boy-surface"].build()
+        calls = count_clones(monkeypatch)
+        result = compile_function(func, VectorizerConfig.lslp(),
+                                  guard="guarded")
+        assert result.report.num_vectorized > 0
+        assert 0 < len(calls) < len(result.timing.timings)
+
+    def test_changed_flag_is_not_trusted(self):
+        """A pass that edits the IR but returns False must not hand its
+        pre-pass snapshot on: rolling back the next pass restores the
+        edited state, not the older one."""
+        _, func = build()
+        seen: list[str] = []
+
+        def sneaky(f):
+            next(i for i in f.instructions()
+                 if i.opcode == "fadd").swap_operands()
+            return False
+
+        def crash(f):
+            seen.append(print_function(f))
+            raise RuntimeError("boom")
+
+        before = print_function(func)
+        guard = run_guarded(func, ("sneaky", sneaky), ("crash", crash))
+        assert guard.rolled_back == ["crash"]
+        assert print_function(func) == seen[0] != before
+        verify_function(func)
+
+    def test_rollback_to_reused_snapshot_matches_fresh_one(self):
+        """No-op then crash restores exactly what a lone crash does."""
+        _, lone_func = build()
+        lone = run_guarded(lone_func, ("boom", boom))
+        _, func = build()
+        before = print_function(func)
+        guard = run_guarded(func, ("noop", noop), ("boom", boom))
+        assert print_function(func) == before == print_function(lone_func)
+        assert guard.rolled_back == lone.rolled_back == ["boom"]
+        assert guard.diagnostics.remarks == lone.diagnostics.remarks
+        [remark] = guard.diagnostics.remarks
+        assert (remark.severity, remark.category, remark.pass_name,
+                remark.phase) == (Severity.WARNING, "rollback", "boom",
+                                  "transform")
+        assert remark.message == "exception in pass: boom"
+        verify_function(func)
+
+    def test_type_clobber_after_no_op_recovers_via_last_good(self):
+        _, func = build()
+        before = print_function(func)
+        faults = FaultInjector(FaultSpec("clobber", "corrupt-type-clobber"),
+                               seed=0)
+        guard = run_guarded(func, ("noop", noop), ("clobber", noop),
+                            ("after", noop), faults=faults)
+        assert faults.fired == [("clobber", "corrupt-type-clobber")]
+        assert guard.rolled_back == ["clobber"]
+        [remark] = guard.diagnostics.remarks
+        assert "too corrupt to snapshot" in remark.message
+        assert print_function(func) == before
+        verify_function(func)
+
+    def test_last_good_survives_rollback_of_reused_snapshot(self):
+        """The crash consumes the snapshot the no-op pass committed; the
+        guard must still hold a live recovery point for the clobber."""
+        _, func = build()
+        before = print_function(func)
+        live: list[bool] = []
+        guard = PassGuard()
+
+        def probe(f):
+            last = guard._last_good
+            live.append(last is not None and last.live
+                        and matches_clone(f, last.reference()))
+            return False
+
+        manager = (PassManager(guard=guard).add("noop", noop)
+                   .add("boom", boom).add("probe", probe)
+                   .add("clobber", noop).add("after", noop))
+        FaultInjector(FaultSpec("clobber", "corrupt-type-clobber"),
+                      seed=0).instrument(manager)
+        manager.run_function(func)
+        assert live == [True]
+        assert guard.rolled_back == ["boom", "clobber"]
+        assert print_function(func) == before
+        verify_function(func)
+
+
+class _Tagged(BinaryOperator):
+    """Same opcode and fields as its base; only the class differs."""
+
+
+def rich_function():
+    """One function holding every field :func:`clone_function` copies:
+    two arguments, a loop (phi, cmp, condbr, br), a shuffle and a call."""
+    module = Module("m")
+    array = module.add_global(GlobalArray("A", I64, 64))
+    callees = []
+    for name in ("callee", "other"):
+        callee = module.add_function(Function(name, [("x", I64)], I64))
+        IRBuilder(callee.add_block("entry")).ret(callee.argument("x"))
+        callees.append(callee)
+    func = module.add_function(Function("f", [("i", I64), ("n", I64)]))
+    i, n = func.arguments
+    entry, loop, done = (func.add_block(name)
+                         for name in ("entry", "loop", "exit"))
+    builder = IRBuilder(entry)
+    builder.br(loop)
+    builder.position_at_end(loop)
+    phi = builder.phi(I64, "j")
+    step = builder.add(phi, i)
+    phi.add_incoming(i, entry)
+    phi.add_incoming(step, loop)
+    builder.condbr(builder.icmp("slt", step, n), loop, done)
+    builder.position_before(loop.terminator)
+    builder.icmp("eq", step, n)  # an unused second condition
+    builder.position_at_end(done)
+    vec = builder.build_vector([phi, step])
+    shuffle = builder.shufflevector(vec, vec, [1, 0])
+    lane = builder.extractelement(shuffle, 0)
+    builder.store(builder.call(callees[0], [lane]), builder.gep(array, i))
+    builder.ret()
+    verify_function(func)
+    return func, callees[1]
+
+
+def first(func, opcode):
+    return next(i for i in func.instructions() if i.opcode == opcode)
+
+
+def _swap_blocks(func, other):
+    func.blocks[1], func.blocks[2] = func.blocks[2], func.blocks[1]
+
+
+def _retag(func, other):
+    first(func, "add").__class__ = _Tagged
+
+
+def _add_instruction(func, other):
+    add = first(func, "add")
+    add.parent.insert_before(add, BinaryOperator("add", add.lhs, add.rhs))
+
+
+def _remove_instruction(func, other):
+    store = first(func, "store")
+    store.parent.remove(store)
+
+
+def _swap_condbr(func, other):
+    condbr = first(func, "condbr")
+    condbr.on_true, condbr.on_false = condbr.on_false, condbr.on_true
+
+
+#: (field, mutation): each edits exactly one field clone_function copies
+FIELD_MUTATIONS = [
+    ("argument name",
+     lambda f, o: setattr(f.arguments[0], "name", "renamed")),
+    ("argument type", lambda f, o: setattr(f.arguments[1], "type", I32)),
+    ("block name", lambda f, o: setattr(f.blocks[2], "name", "renamed")),
+    ("block order", _swap_blocks),
+    ("instruction count (added)", _add_instruction),
+    ("instruction count (removed)", _remove_instruction),
+    ("instruction class", _retag),
+    ("opcode", lambda f, o: setattr(first(f, "add"), "opcode", "mul")),
+    ("type", lambda f, o: setattr(first(f, "add"), "type",
+                                  vector_of(I64, 2))),
+    ("name", lambda f, o: setattr(first(f, "add"), "name", "renamed")),
+    ("operand", lambda f, o: first(f, "add").swap_operands()),
+    ("phi incoming value",
+     lambda f, o: first(f, "phi").set_operand(0, f.arguments[1])),
+    ("phi edge", lambda f, o: first(f, "phi").incoming_blocks.reverse()),
+    ("branch target", lambda f, o: setattr(first(f, "br"), "target",
+                                           f.blocks[2])),
+    ("condbr targets", _swap_condbr),
+    ("condbr condition",
+     lambda f, o: first(f, "condbr").set_operand(
+         0, f.blocks[1].instructions[-2])),
+    ("predicate", lambda f, o: setattr(first(f, "icmp"), "predicate",
+                                       "sle")),
+    ("mask", lambda f, o: setattr(first(f, "shufflevector"), "mask",
+                                  (0, 1))),
+    ("callee", lambda f, o: setattr(first(f, "call"), "callee", o)),
+    ("name counts", lambda f, o: f.unique_name("fresh")),
+]
+
+
+class TestMatchesClone:
+    def test_compiled_function_matches_its_clone(self):
+        _, func = build()
+        compile_function(func, VectorizerConfig.lslp())
+        assert matches_clone(func, clone_function(func))
+
+    def test_clone_of_another_state_does_not_match(self):
+        _, func = build()
+        clone = clone_function(func)
+        compile_function(func, VectorizerConfig.lslp())
+        assert not matches_clone(func, clone)
+
+    @pytest.mark.parametrize(
+        "mutate", [m for _, m in FIELD_MUTATIONS],
+        ids=[name for name, _ in FIELD_MUTATIONS])
+    def test_each_copied_field_is_compared(self, mutate):
+        func, other = rich_function()
+        clone = clone_function(func)
+        assert matches_clone(func, clone)
+        mutate(func, other)
+        assert not matches_clone(func, clone)
 
 
 class TestStrictMode:
