@@ -2,7 +2,8 @@
 
 The compiled tier is *never* trusted: any result it serves must be
 reproducible by running the same function on the interpreter with an
-identically-seeded fresh memory image.  Unlike the oracle's
+identically-seeded fresh memory image (or taken from the differential
+oracle's run of the same final IR on that image).  Unlike the oracle's
 tolerance-based comparison (`repro.interp.differential`), this check
 is **exact**: return values must be equal bit-for-bit (NaN compares
 equal to NaN, signed zeros must match sign), every memory buffer must
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..costmodel.tti import TargetCostModel
-from ..interp.differential import seeded_arg_sets
+from ..interp.differential import seeded_arg_sets, VerifiedRun
 from ..interp.interpreter import Interpreter
 from ..interp.memory import MemoryImage
 from ..ir.function import Function, Module
@@ -90,18 +91,36 @@ def _memories_equal(a: MemoryImage, b: MemoryImage) -> Optional[str]:
     return None
 
 
+def _same_args(a: Optional[dict], b: Optional[dict]) -> bool:
+    """Equal argument sets, value types included (``8 == 8.0`` is not
+    the same run)."""
+    if a is None or b is None:
+        return a is b
+    return a.keys() == b.keys() and all(
+        type(a[name]) is type(b[name]) and a[name] == b[name] for name in a
+    )
+
+
 def cross_check(module: Module, func: Function,
                 target: TargetCostModel,
                 base_args: Optional[dict] = None,
                 runs: int = 3, base_seed: int = 0,
                 backend: str = "compiled",
                 source: Optional[str] = None,
-                vector_mode: str = "auto") -> CrossCheckResult:
+                vector_mode: str = "auto",
+                verified: Sequence[VerifiedRun] = ()) -> CrossCheckResult:
     """Run ``func`` under both tiers on fresh seeded memories.
 
     Every argument sweep from :func:`seeded_arg_sets` executes twice —
     once interpreted, once through the requested backend — and the
     results, final memories, and cycle accounting must match exactly.
+
+    ``verified`` holds interpreter runs of this same final IR on
+    ``target`` that the differential oracle already made (see
+    :meth:`repro.robustness.DifferentialOracle.runs_for`).  A run whose
+    seed and arguments equal a sweep's is that sweep's interpreter
+    side, and a clone of its seeded input feeds the backend; every
+    other sweep interprets on its own.
     """
     outcome = CrossCheckResult(ok=True)
     if backend != "interp" and source is None:
@@ -111,21 +130,26 @@ def cross_check(module: Module, func: Function,
                                backend=backend,
                                vector_mode=vector_mode)
         source = probe.source
+    by_seed = {run.seed: run for run in verified}
     for index, args in enumerate(
         seeded_arg_sets(func, base_args, runs, base_seed)
     ):
         seed = base_seed + index
-        mem_ref = MemoryImage(module)
-        mem_ref.randomize(seed)
-        mem_cmp = mem_ref.clone()
-
         ref_err: Optional[BaseException] = None
         cmp_err: Optional[BaseException] = None
         ref_result = cmp_result = None
-        try:
-            ref_result = Interpreter(mem_ref, target).run(func, args)
-        except Exception as exc:
-            ref_err = exc
+        shared = by_seed.get(seed)
+        if shared is not None and _same_args(shared.args, args):
+            ref_result, mem_ref = shared.result, shared.memory
+            mem_cmp = shared.image.clone()
+        else:
+            mem_ref = MemoryImage(module)
+            mem_ref.randomize(seed)
+            mem_cmp = mem_ref.clone()
+            try:
+                ref_result = Interpreter(mem_ref, target).run(func, args)
+            except Exception as exc:
+                ref_err = exc
         executor = TieredExecutor(module, mem_cmp, target,
                                   backend=backend, source=source,
                                   vector_mode=vector_mode)

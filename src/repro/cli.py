@@ -470,13 +470,15 @@ def cmd_run(args) -> int:
     if args.verify and args.backend != "interp":
         # The oracle above proved scalar == vectorized on the
         # interpreter; this sweep proves the compiled tier reproduces
-        # the interpreter *exactly* (values, memory, cycle accounting).
+        # the interpreter *exactly* (values, memory, cycle accounting),
+        # taking the oracle's final-IR runs as the interpreter side.
         from .backend.validate import cross_check
 
         check = cross_check(
             module, func, target, base_args=runtime_args,
             runs=verify_runs, base_seed=args.seed,
             backend=args.backend,
+            verified=oracle.runs_for(func, target),
         )
         print(f"backend-verify: {check.render()}")
         if not check.ok:

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from ..costmodel.tti import TargetCostModel
 from ..ir.function import Function, Module
 from .interpreter import ExecutionResult, Interpreter
-from .memory import MemoryImage
+from .memory import floats_agree, MemoryImage
 
 #: Builds (module, function) pairs; called once per configuration so each
 #: gets a pristine copy of the kernel to transform.
@@ -30,12 +30,33 @@ class DifferentialOutcome:
     reference: ExecutionResult
     transformed: ExecutionResult
     detail: str = ""
+    #: the reference module's seeded image, never run on; both runs
+    #: started from copies of it
+    image: Optional[MemoryImage] = None
+    #: the transformed run's final memory
+    transformed_memory: Optional[MemoryImage] = None
 
     @property
     def speedup(self) -> float:
         if self.transformed.cycles == 0:
             return float("inf")
         return self.reference.cycles / self.transformed.cycles
+
+
+@dataclass(frozen=True)
+class VerifiedRun:
+    """One seeded run of a transformed function that an oracle
+    accepted, kept so a later check of the same final IR (the backend
+    cross-check) can take it as its interpreter side instead of
+    interpreting again."""
+
+    args: Optional[dict[str, object]]
+    seed: int
+    result: ExecutionResult
+    #: the run's final memory
+    memory: MemoryImage
+    #: the seeded input image, never run on; clone it before running
+    image: MemoryImage
 
 
 def seeded_arg_sets(func: Function,
@@ -86,19 +107,28 @@ def compare_runs(reference: tuple[Module, Function],
                  target: Optional[TargetCostModel] = None,
                  float_tolerance: float = 1e-9) -> DifferentialOutcome:
     """Run both functions on identical random inputs and compare every
-    observable: final memory contents and the return value."""
-    ref_result, ref_memory = run_on_fresh_memory(
-        *reference, args=args, seed=seed, target=target
-    )
-    new_result, new_memory = run_on_fresh_memory(
-        *transformed, args=args, seed=seed, target=target
-    )
+    observable: final memory contents and the return value.
+
+    The seed is drawn into one image, and each run gets a clone of it;
+    a transformed function from another module object gets that
+    module's own image, drawn from the same seed."""
+    image = MemoryImage(reference[0])
+    image.randomize(seed=seed)
+    ref_memory = image.clone()
+    if transformed[0] is reference[0]:
+        new_memory = image.clone()
+    else:
+        new_memory = MemoryImage(transformed[0])
+        new_memory.randomize(seed=seed)
+    ref_result = Interpreter(ref_memory, target).run(reference[1], args)
+    new_result = Interpreter(new_memory, target).run(transformed[1], args)
 
     detail = ""
     equivalent = True
     if not ref_memory.same_contents(new_memory, float_tolerance):
         equivalent = False
-        detail = _first_memory_difference(ref_memory, new_memory)
+        detail = _first_memory_difference(ref_memory, new_memory,
+                                          float_tolerance)
     elif not _values_equal(ref_result.return_value,
                            new_result.return_value, float_tolerance):
         equivalent = False
@@ -106,25 +136,27 @@ def compare_runs(reference: tuple[Module, Function],
             f"return value {ref_result.return_value!r} != "
             f"{new_result.return_value!r}"
         )
-    return DifferentialOutcome(equivalent, ref_result, new_result, detail)
+    return DifferentialOutcome(equivalent, ref_result, new_result, detail,
+                               image=image, transformed_memory=new_memory)
 
 
 def _values_equal(a, b, tol: float) -> bool:
     if isinstance(a, float) or isinstance(b, float):
         if a is None or b is None:
             return a is b
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+        return floats_agree(a, b, tol)
     return a == b
 
 
-def _first_memory_difference(a: MemoryImage, b: MemoryImage) -> str:
+def _first_memory_difference(a: MemoryImage, b: MemoryImage,
+                             tol: float) -> str:
     arrays_a = a.arrays()
     arrays_b = b.arrays()
     for name in sorted(arrays_a):
         buf_a = arrays_a[name]
         buf_b = arrays_b.get(name, [])
         for index, (va, vb) in enumerate(zip(buf_a, buf_b)):
-            if va != vb:
+            if not _values_equal(va, vb, tol):
                 return f"@{name}[{index}]: {va!r} != {vb!r}"
     return "memory images differ"
 
@@ -135,4 +167,5 @@ __all__ = [
     "KernelFactory",
     "run_on_fresh_memory",
     "seeded_arg_sets",
+    "VerifiedRun",
 ]

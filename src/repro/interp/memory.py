@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -67,15 +68,26 @@ class MemoryImage:
 
     def randomize(self, seed: int = 0, low: int = -100, high: int = 100
                   ) -> None:
-        """Fill every buffer with deterministic pseudo-random data."""
+        """Fill every buffer with deterministic pseudo-random data.
+
+        Each element draws exactly what ``rng.uniform(low, high)`` (float
+        buffers) or ``rng.randint(low, high)`` (int buffers) would, by
+        applying their formulas directly, one comprehension per buffer.
+        ``Random._randbelow`` is private, so a test pins the stream
+        against the per-element calls.
+        """
+        if high < low:
+            raise ValueError(f"empty range [{low}, {high}]")
         rng = random.Random(seed)
+        draw_float, draw_below = rng.random, rng._randbelow
+        width = high - low
         for name, buffer in self._buffers.items():
+            # Slice assignment keeps the list objects that pointers and
+            # bound compiled runners already hold.
             if self._elem_is_float[name]:
-                for index in range(len(buffer)):
-                    buffer[index] = rng.uniform(low, high)
+                buffer[:] = [low + width * draw_float() for _ in buffer]
             else:
-                for index in range(len(buffer)):
-                    buffer[index] = rng.randint(low, high)
+                buffer[:] = [low + draw_below(width + 1) for _ in buffer]
 
     def clone(self) -> "MemoryImage":
         copy = MemoryImage()
@@ -86,23 +98,36 @@ class MemoryImage:
 
     def same_contents(self, other: "MemoryImage",
                       float_tolerance: float = 1e-9) -> bool:
-        """Buffer-by-buffer equality (floats within a tolerance)."""
+        """Buffer-by-buffer equality (floats by :func:`floats_agree`)."""
         if self._buffers.keys() != other._buffers.keys():
             return False
         for name, buffer in self._buffers.items():
             other_buffer = other._buffers[name]
             if len(buffer) != len(other_buffer):
                 return False
-            if self._elem_is_float[name]:
-                for a, b in zip(buffer, other_buffer):
-                    if abs(a - b) > float_tolerance * max(1.0, abs(a), abs(b)):
-                        return False
-            elif buffer != other_buffer:
+            if buffer == other_buffer:
+                continue
+            if not self._elem_is_float[name]:
                 return False
+            for a, b in zip(buffer, other_buffer):
+                if a != b and not floats_agree(a, b, float_tolerance):
+                    return False
         return True
 
     def arrays(self) -> dict[str, list]:
         return {name: list(buf) for name, buf in self._buffers.items()}
 
 
-__all__ = ["MemoryImage", "Pointer"]
+def floats_agree(a: float, b: float, tolerance: float) -> bool:
+    """The oracle's float equality: identical values agree, NaN only
+    with NaN, an infinity only with the same infinity, and finite
+    values within ``tolerance`` relative to the larger magnitude (at
+    least 1.0)."""
+    if a == b:
+        return True
+    if math.isfinite(a) and math.isfinite(b):
+        return abs(a - b) <= tolerance * max(1.0, abs(a), abs(b))
+    return math.isnan(a) and math.isnan(b)
+
+
+__all__ = ["floats_agree", "MemoryImage", "Pointer"]

@@ -14,10 +14,13 @@ most passes change nothing, and a structural comparison
 The :class:`DifferentialOracle` closes the remaining gap: a pass can
 produce *valid but wrong* IR that no verifier catches.  The oracle
 interprets a scalar reference snapshot and the transformed function on
-the same seeded :class:`~repro.interp.memory.MemoryImage`; any output or
-array mismatch rolls the function back to the reference and emits a
-miscompile diagnostic (the checker-based safety net LLM-Vectorizer
-argues for, built from the interpreter this repo already has).
+clones of one seeded :class:`~repro.interp.memory.MemoryImage`; any
+output or array mismatch rolls the function back to the reference and
+emits a miscompile diagnostic (the checker-based safety net
+LLM-Vectorizer argues for, built from the interpreter this repo already
+has).  When every seed passes, the oracle keeps the transformed runs so
+the backend cross-check can reuse them instead of interpreting the same
+final IR again.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
+from ..ir.call import Call
 from ..ir.cloning import (
     clone_function,
     discard_blocks,
@@ -44,6 +48,7 @@ from .diagnostics import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..costmodel.tti import TargetCostModel
+    from ..interp.differential import VerifiedRun
     from ..opt.passmanager import PipelineResult
 
 
@@ -108,6 +113,11 @@ class DifferentialOracle:
     *and* runtime arguments (see
     :func:`repro.interp.differential.seeded_arg_sets`); a mismatch
     reports exactly which seed/argument set diverged.
+
+    A passing :meth:`check` keeps one
+    :class:`~repro.interp.differential.VerifiedRun` per seed in
+    ``verified``; a failing one keeps none, so a rolled-back function
+    never leaves a stale run behind.
     """
 
     module: Module
@@ -117,6 +127,13 @@ class DifferentialOracle:
     target: Optional["TargetCostModel"] = None
     #: one argument set per seed; None = ``args`` for every seed
     arg_sets: Optional[tuple[dict, ...]] = None
+    #: the transformed runs of the last passing :meth:`check`
+    verified: tuple["VerifiedRun", ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    _verified_function: Optional[Function] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def sweeping(module: Module, func: Function,
@@ -147,8 +164,10 @@ class DifferentialOracle:
         naming the seed (and argument set) that diverged."""
         # Imported lazily: repro.interp pulls in repro.opt at package
         # import time, which would cycle back into this module.
-        from ..interp.differential import compare_runs
+        from ..interp.differential import compare_runs, VerifiedRun
 
+        self.verified, self._verified_function = (), None
+        verified = []
         for run, seed in enumerate(self.seeds):
             args = self.args
             where = f"seed {seed}"
@@ -168,7 +187,28 @@ class DifferentialOracle:
                 return f"{where}: execution failed: {exc}"
             if not outcome.equivalent:
                 return f"{where}: {outcome.detail}"
+            verified.append(VerifiedRun(
+                args, seed, outcome.transformed,
+                outcome.transformed_memory, outcome.image,
+            ))
+        self.verified, self._verified_function = tuple(verified), transformed
         return None
+
+    def runs_for(self, func: Function,
+                 target: Optional["TargetCostModel"]
+                 ) -> tuple["VerifiedRun", ...]:
+        """The kept runs a later interpreter check of ``func`` on
+        ``target`` may take as its own: none unless ``func`` is the
+        function the last passing :meth:`check` transformed and
+        ``target`` is the oracle's, and none while ``func`` still calls
+        another function, because a callee compiled after the check
+        changes what ``func`` computes."""
+        if (func is not self._verified_function
+                or target is not self.target
+                or any(isinstance(inst, Call)
+                       for inst in func.instructions())):
+            return ()
+        return self.verified
 
 
 @dataclass

@@ -394,6 +394,14 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
 
     merged = VectorizationReport(job.name, config.name)
     remarks: list[dict[str, Any]] = []
+    # Each function's oracle keeps its verified runs for the backend
+    # cross-check; they live as long as this job does.
+    oracles: dict[str, Optional[DifferentialOracle]] = {}
+
+    def oracle_for(func) -> Optional[DifferentialOracle]:
+        oracles[func.name] = _oracle_for(job, module, func, target, remarks)
+        return oracles[func.name]
+
     rolled_back: list[str] = []
     compile_seconds = 0.0
     static_cost = 0
@@ -412,10 +420,7 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
             with span("job.compile", job=job.name, config=config.name):
                 results = compile_module_planned(
                     module, config, target, guard=guard,
-                    module_meter=module_meter,
-                    oracles=lambda func: _oracle_for(
-                        job, module, func, target, remarks
-                    ),
+                    module_meter=module_meter, oracles=oracle_for,
                 )
             for result in results:
                 merged.merge(result.report)
@@ -430,7 +435,7 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
                 static_cost += result.static_cost
         else:
             for func in module.functions.values():
-                oracle = _oracle_for(job, module, func, target, remarks)
+                oracle = oracle_for(func)
                 with span("job.compile", job=job.name,
                           function=func.name, config=config.name):
                     result = compile_function(
@@ -451,7 +456,7 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
             _records.set_plan_sink(previous_sink)
 
     entry_backend, generated_source = _backend_stage(
-        job, module, target, remarks
+        job, module, target, remarks, oracles
     )
 
     entry = CacheEntry(
@@ -520,7 +525,9 @@ def _oracle_for(job: CompileJob, module: Module, func,
 
 def _backend_stage(job: CompileJob, module: Module,
                    target: TargetCostModel,
-                   remarks: list[dict[str, Any]]) -> tuple[str, str]:
+                   remarks: list[dict[str, Any]],
+                   oracles: dict[str, Optional[DifferentialOracle]]
+                   ) -> tuple[str, str]:
     """Emit + differentially validate the compiled tier.
 
     Returns ``(entry_backend, generated_source)``.  ``compiled`` jobs
@@ -529,7 +536,9 @@ def _backend_stage(job: CompileJob, module: Module,
     a structured ``backend`` remark.  When the job carries verify runs,
     every supported function is swept compiled-vs-interpreted with
     *exact* comparison; any divergence raises
-    :class:`BackendMismatchError` (permanent — see the ladder).
+    :class:`BackendMismatchError` (permanent — see the ladder).  The
+    interpreter side of a sweep is the function's oracle run when
+    :meth:`DifferentialOracle.runs_for` allows it.
     """
     if job.backend == "interp":
         return "interp", ""
@@ -583,10 +592,13 @@ def _backend_stage(job: CompileJob, module: Module,
                 continue
             if any(a.name not in args for a in func.arguments):
                 continue  # the oracle already remarked the skip
+            oracle = oracles.get(func.name)
             result = cross_check(
                 module, func, target, base_args=args,
                 runs=job.verify_runs, base_seed=job.verify_seed,
                 backend="compiled", source=emitted.source,
+                verified=(oracle.runs_for(func, target)
+                          if oracle is not None else ()),
             )
             if not result.ok:
                 raise BackendMismatchError(

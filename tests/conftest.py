@@ -42,3 +42,29 @@ def build_kernel(source: str, entry: str = "kernel"):
 
 def assert_verifies(func: Function) -> None:
     verify_function(func)
+
+
+@pytest.fixture
+def exec_counts(monkeypatch):
+    """Count top-level interpreter runs (calls into a callee are part of
+    their caller's run) and memory-image randomizations."""
+    from collections import Counter
+
+    from repro.interp.interpreter import Interpreter
+    from repro.interp.memory import MemoryImage
+
+    counts: Counter = Counter()
+    real_run, real_randomize = Interpreter.run, MemoryImage.randomize
+
+    def run(self, func, args=None, *rest, _depth=0, **kwargs):
+        if _depth == 0:
+            counts["runs"] += 1
+        return real_run(self, func, args, *rest, _depth=_depth, **kwargs)
+
+    def randomize(self, *args, **kwargs):
+        counts["randomizations"] += 1
+        return real_randomize(self, *args, **kwargs)
+
+    monkeypatch.setattr(Interpreter, "run", run)
+    monkeypatch.setattr(MemoryImage, "randomize", randomize)
+    return counts

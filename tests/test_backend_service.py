@@ -2,18 +2,26 @@
 
 Covers the CACHE_SCHEMA bump (old entries are clean misses, never
 corruption), the backend ingredient in the cache key, generated-source
-storage and warm serving, the two permanent backend failure kinds, and
-the degradation ladder's shed-to-interpreter round.
+storage and warm serving, the two permanent backend failure kinds, the
+degradation ladder's shed-to-interpreter round, and the cross-check
+taking the oracle's verified runs as its interpreter side.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+
+import pytest
 
 import repro.backend.validate as validate_mod
+from repro.backend import TieredExecutor
 from repro.costmodel.targets import skylake_like
-from repro.ir import F64, Function, I64, IRBuilder, Module, PointerType
+from repro.interp.differential import seeded_arg_sets
+from repro.ir import Call, F64, Function, I64, IRBuilder, Module, PointerType
 from repro.kernels.catalog import ALL_KERNELS
+from repro.opt import compile_function
+from repro.robustness import DifferentialOracle
 from repro.service import (
     CompilationService,
     CompileCache,
@@ -21,6 +29,7 @@ from repro.service import (
     execute_job,
     job_for_kernel,
     job_for_module,
+    job_for_source,
     MemoryCache,
 )
 from repro.service.cache import CACHE_SCHEMA, StaleSchemaError
@@ -260,3 +269,131 @@ def test_stats_render_mentions_backend_shed():
     svc = CompilationService(cache=CompileCache(memory=MemoryCache()))
     svc.compile_job(_pointer_job(backend="compiled"))
     assert "1 shed to interp" in svc.stats.render()
+
+
+# ---------------------------------------------------------------------------
+# The cross-check reuses the oracle's verified runs
+# ---------------------------------------------------------------------------
+
+
+def test_verified_miss_interprets_twice_and_randomizes_once(exec_counts):
+    """Per function and verify run: the oracle's reference and
+    transformed runs on clones of one image; the cross-check interprets
+    nothing more and draws no image of its own."""
+    outcome = execute_job(_job(backend="compiled", verify_runs=2))
+    assert outcome.error == ""
+    assert len(outcome.module.functions) == 1
+    assert exec_counts == {"runs": 2 * 2, "randomizations": 1 * 2}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_KERNELS))
+def test_cross_check_same_with_and_without_oracle_runs(name):
+    kernel = ALL_KERNELS[name]
+    module, func = kernel.build()
+    target = skylake_like()
+    args = dict(kernel.default_args)
+    oracle = DifferentialOracle.sweeping(module, func, args=args, runs=2,
+                                         target=target)
+    compile_function(func, VectorizerConfig.lslp(), target,
+                     guard="guarded", oracle=oracle)
+    runs = oracle.runs_for(func, target)
+    assert len(runs) == 2
+    shared = validate_mod.cross_check(module, func, target, base_args=args,
+                                      runs=2, verified=runs)
+    alone = validate_mod.cross_check(module, func, target, base_args=args,
+                                     runs=2)
+    assert shared.ok
+    assert shared == alone
+
+
+CALLER = """
+long A[64], B[64];
+long fill_to(long i) {
+    for (long j = 0; j < i; j = j + 1) {
+        B[j] = j * 2;
+    }
+    return B[0];
+}
+void kernel(long i) {
+    A[i + 0] = fill_to(i) + B[i + 0];
+    A[i + 1] = B[i + 1] * 3;
+}
+"""
+
+
+def test_caller_with_a_call_interprets_its_own_side(monkeypatch):
+    """The loop keeps ``fill_to`` out of line, so ``kernel`` still calls
+    it after compilation: its cross-check interprets on its own, while
+    the call-free callee takes the oracle's runs."""
+    shared: dict[str, int] = {}
+    real = validate_mod.cross_check
+
+    def spying(module, func, target, **kwargs):
+        shared[func.name] = len(kwargs["verified"])
+        return real(module, func, target, **kwargs)
+
+    monkeypatch.setattr(validate_mod, "cross_check", spying)
+    outcome = execute_job(job_for_source(
+        "caller", CALLER, VectorizerConfig.lslp(), skylake_like(),
+        backend="compiled", verify_runs=2, args={"i": 5},
+    ))
+    assert outcome.error == ""
+    assert outcome.entry.backend == "compiled"
+    caller = outcome.module.get_function("kernel")
+    assert any(isinstance(inst, Call) for inst in caller.instructions())
+    assert shared == {"fill_to": 2, "kernel": 0}
+
+
+def test_shared_run_still_catches_a_diverging_compiled_tier(
+        monkeypatch, exec_counts):
+    real_run = TieredExecutor.run
+
+    def diverging(self, func_name, args=None, **kwargs):
+        tier_run = real_run(self, func_name, args, **kwargs)
+        name = next(iter(self.memory.arrays()))
+        values = self.memory.get_array(name)
+        values[0] += 1
+        self.memory.set_array(name, values)
+        return tier_run
+
+    monkeypatch.setattr(TieredExecutor, "run", diverging)
+    outcome = execute_job(_job(backend="compiled", verify_runs=2))
+    assert outcome.error_info is not None
+    assert outcome.error_info.kind == ERROR_BACKEND_MISMATCH
+    assert "interp" in outcome.error and "compiled" in outcome.error
+    # Only the oracle interpreted: the cross-check's interpreter side
+    # was the shared run.
+    assert exec_counts["runs"] == 2 * 2
+
+
+def test_runs_with_other_args_or_seeds_are_ignored(exec_counts):
+    module, func = KERNEL.build()
+    target = skylake_like()
+    args = dict(KERNEL.default_args)
+    oracle = DifferentialOracle(module, args=args, seeds=(0, 1),
+                                target=target)
+    compile_function(func, VectorizerConfig.lslp(), target,
+                     guard="guarded", oracle=oracle)
+    runs = oracle.runs_for(func, target)
+    assert [run.args for run in runs] == [args, args]
+    assert seeded_arg_sets(func, args, 2, 0)[1] != args
+    expected = validate_mod.cross_check(module, func, target,
+                                        base_args=args, runs=2)
+
+    def check(verified, base_seed=0):
+        exec_counts.clear()
+        result = validate_mod.cross_check(
+            module, func, target, base_args=args, runs=2,
+            base_seed=base_seed, verified=verified,
+        )
+        return result, dict(exec_counts)
+
+    # Run 0 matches seed 0 and the base args; run 1's args differ.
+    assert check(runs) == (expected, {"runs": 1, "randomizations": 1})
+    # Seeds 7 and 8 match no kept run.
+    result, counts = check(runs, base_seed=7)
+    assert result.ok
+    assert counts == {"runs": 2, "randomizations": 2}
+    # An argument of another type is another run (8 == 8.0).
+    retyped = replace(runs[0], args={"i": float(args["i"])})
+    assert check([retyped]) == (expected, {"runs": 2, "randomizations": 2})

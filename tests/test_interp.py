@@ -1,5 +1,8 @@
 """Tests for the IR interpreter, memory image, and cycle accounting."""
 
+import math
+import random
+
 import pytest
 
 from repro.interp import (
@@ -9,6 +12,10 @@ from repro.interp import (
     MemoryImage,
     Pointer,
 )
+from repro.interp.differential import _values_equal
+from repro.interp.memory import floats_agree
+from repro.kernels.catalog import ALL_KERNELS
+from repro.kernels.suites import build_suite, SUITE_SPECS
 from repro.ir import (
     Function,
     GlobalArray,
@@ -251,6 +258,24 @@ class TestMemoryImage:
         m2.randomize(seed=43)
         assert not m1.same_contents(m2)
 
+    def test_randomize_rejects_an_empty_range(self):
+        module, _ = build_kernel(
+            "long A[4];\nvoid kernel(long i) { A[i] = 1; }"
+        )
+        with pytest.raises(ValueError, match="empty range"):
+            MemoryImage(module).randomize(seed=0, low=5, high=4)
+
+    def test_randomize_refills_buffers_in_place(self):
+        """Pointers and bound compiled runners hold the buffer lists."""
+        module, _ = build_kernel(
+            "long A[4];\nvoid kernel(long i) { A[i] = 1; }"
+        )
+        memory = MemoryImage(module)
+        pointer = memory.pointer_to("A")
+        memory.randomize(seed=3)
+        assert pointer.buffer == memory.get_array("A")
+        assert any(pointer.buffer)
+
     def test_set_array_size_check(self):
         module, _ = build_kernel("long A[4];\nvoid kernel(long i) { A[i] = 1; }")
         memory = MemoryImage(module)
@@ -263,6 +288,98 @@ class TestMemoryImage:
         ptr = memory.pointer_to("A", 1)
         assert ptr.advanced(2).offset == 3
         assert ptr.advanced(2).buffer is ptr.buffer
+
+
+def _drawn_per_element(memory: MemoryImage, seed: int,
+                       low: int = -100, high: int = 100) -> dict:
+    """The randomizer's stream as one ``randint``/``uniform`` call per
+    element, buffer by buffer in declaration order."""
+    rng = random.Random(seed)
+    expected = {}
+    for name, values in memory.arrays().items():
+        if memory._elem_is_float[name]:
+            expected[name] = [rng.uniform(low, high) for _ in values]
+        else:
+            expected[name] = [rng.randint(low, high) for _ in values]
+    return expected
+
+
+LAYOUTS = [
+    pytest.param(kernel.build()[0], id=name)
+    for name, kernel in ALL_KERNELS.items()
+] + [pytest.param(build_suite(SUITE_SPECS[0]), id="suite-453.povray")]
+
+
+class TestRandomizeStream:
+    """``randomize`` applies ``randint``/``uniform``'s formulas directly,
+    including the private ``Random._randbelow``; these tests catch a
+    Python release whose stream no longer matches the public calls."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("module", LAYOUTS)
+    def test_matches_per_element_draws(self, module, seed):
+        memory = MemoryImage(module)
+        memory.randomize(seed=seed)
+        drawn = memory.arrays()
+        expected = _drawn_per_element(memory, seed)
+        assert drawn == expected
+        for name, values in expected.items():
+            assert [type(v) for v in drawn[name]] == \
+                [type(v) for v in values], name
+
+    def test_matches_with_custom_bounds(self):
+        module = ALL_KERNELS["453.boy-surface"].build()[0]
+        memory = MemoryImage(module)
+        memory.randomize(seed=5, low=-3, high=9)
+        assert memory.arrays() == _drawn_per_element(memory, 5, -3, 9)
+
+
+INF, NAN = math.inf, math.nan
+
+
+class TestNonFiniteFloats:
+    """The oracle's float rule: identical values pass, NaN matches only
+    NaN, an infinity only the same infinity, finite pairs within the
+    relative tolerance."""
+
+    DIFFERENT = [(NAN, 1.0), (1.0, NAN), (INF, 5.0), (5.0, INF),
+                 (-INF, INF), (INF, -INF), (-INF, -5.0), (NAN, INF)]
+    SAME = [(NAN, NAN), (INF, INF), (-INF, -INF), (1.0, 1.0),
+            (1.0, 1.0 + 1e-13), (0.0, -0.0)]
+
+    @staticmethod
+    def _images(a: float, b: float):
+        module, _ = build_kernel(
+            "double X[2];\nvoid kernel(long i) { X[i] = 1.0; }"
+        )
+        left, right = MemoryImage(module), MemoryImage(module)
+        left.set_array("X", [2.0, a])
+        right.set_array("X", [2.0, b])
+        return left, right
+
+    @pytest.mark.parametrize("a, b", DIFFERENT)
+    def test_same_contents_rejects(self, a, b):
+        left, right = self._images(a, b)
+        assert not left.same_contents(right)
+
+    @pytest.mark.parametrize("a, b", SAME)
+    def test_same_contents_accepts(self, a, b):
+        left, right = self._images(a, b)
+        assert left.same_contents(right)
+
+    @pytest.mark.parametrize("a, b", DIFFERENT)
+    def test_return_values_reject(self, a, b):
+        assert not _values_equal(a, b, 1e-9)
+        assert not floats_agree(a, b, 1e-9)
+
+    @pytest.mark.parametrize("a, b", SAME)
+    def test_return_values_accept(self, a, b):
+        assert _values_equal(a, b, 1e-9)
+        assert floats_agree(a, b, 1e-9)
+
+    def test_finite_pairs_keep_the_relative_tolerance(self):
+        assert floats_agree(1e12, 1e12 + 1.0, 1e-9)
+        assert not floats_agree(1.0, 1.0 + 1e-6, 1e-9)
 
 
 class TestTraceHook:

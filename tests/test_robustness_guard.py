@@ -8,14 +8,20 @@ CLI surface (``--strict`` / ``--remarks`` / ``run --verify`` plus the
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import repro.robustness.guard as guard_module
+from repro.backend.validate import cross_check
 from repro.cli import main
-from repro.interp import compare_runs
+from repro.costmodel.targets import skylake_like
+from repro.interp import compare_runs, Interpreter, MemoryImage
+from repro.interp.differential import seeded_arg_sets
 from repro.ir import (
     BinaryOperator,
     clone_function,
+    Constant,
     Function,
     GlobalArray,
     I32,
@@ -24,6 +30,7 @@ from repro.ir import (
     matches_clone,
     Module,
     print_function,
+    Store,
     vector_of,
     verify_function,
 )
@@ -601,6 +608,87 @@ class TestDifferentialOracle:
         assert detail is not None
         assert "execution failed" in detail
 
+    def test_infinite_store_rolls_back(self):
+        """A lane that turns infinite must not pass for a finite one."""
+        module, func = build()
+        before = print_function(func)
+
+        def store_infinity(f):
+            store = next(i for i in f.instructions() if isinstance(i, Store))
+            store.set_operand(0, Constant(store.value.type, math.inf))
+            return True
+
+        oracle = DifferentialOracle(module, args=ARGS)
+        guard = PassGuard(GuardPolicy(oracle=oracle))
+        PassManager(guard=guard).add("slp", store_infinity).run_function(func)
+        assert guard.run_oracle(func)
+        assert guard.rolled_back == ["oracle"]
+        assert "inf" in guard.diagnostics.remarks[0].message
+        assert print_function(func) == before
+        assert oracle.verified == ()
+
+    def test_passing_check_keeps_one_run_per_seed(self):
+        """Each kept run is exactly a fresh interpreter run of the final
+        IR on that seed's image."""
+        module, func = build()
+        target = skylake_like()
+        oracle = DifferentialOracle.sweeping(
+            module, func, args=ARGS, runs=3, base_seed=4, target=target
+        )
+        compile_function(func, VectorizerConfig.lslp(), target,
+                         guard="guarded", oracle=oracle)
+        runs = oracle.runs_for(func, target)
+        assert [run.seed for run in runs] == [4, 5, 6]
+        assert [run.args for run in runs] == seeded_arg_sets(func, ARGS, 3, 4)
+        for run in runs:
+            fresh = MemoryImage(module)
+            fresh.randomize(run.seed)
+            assert run.image.arrays() == fresh.arrays()
+            assert Interpreter(fresh, target).run(func, run.args) == run.result
+            assert run.memory.arrays() == fresh.arrays()
+
+    def test_runs_for_needs_the_checked_function_and_target(self):
+        module, func = build()
+        target = skylake_like()
+        oracle = DifferentialOracle(module, args=ARGS, target=target)
+        compile_function(func, VectorizerConfig.lslp(), target,
+                         guard="guarded", oracle=oracle)
+        assert len(oracle.runs_for(func, target)) == 1
+        assert oracle.runs_for(func, skylake_like()) == ()
+        assert oracle.runs_for(build()[1], target) == ()
+
+    def test_every_check_resets_the_kept_runs(self):
+        module, func = build()
+        oracle = DifferentialOracle(module, args=ARGS)
+        assert oracle.check(func, func) is None
+        assert len(oracle.verified) == 1
+        broken = clone_function(func)
+        store = next(i for i in broken.instructions() if isinstance(i, Store))
+        store.set_operand(0, Constant(store.value.type, math.nan))
+        assert oracle.check(func, broken) is not None
+        assert oracle.verified == ()
+        assert oracle.runs_for(func, None) == ()
+
+    def test_rollback_leaves_no_run_and_cross_check_interprets(
+            self, exec_counts):
+        module, func = build()
+        target = skylake_like()
+        oracle = DifferentialOracle.sweeping(module, func, args=ARGS, runs=2,
+                                             target=target)
+        faults = FaultInjector(
+            FaultSpec("slp", "corrupt-swap-operands"), seed=0
+        )
+        result = compile_function(func, VectorizerConfig.lslp(), target,
+                                  guard="guarded", oracle=oracle,
+                                  faults=faults)
+        assert "oracle" in result.rolled_back
+        assert oracle.verified == ()
+        exec_counts.clear()
+        check = cross_check(module, func, target, base_args=ARGS, runs=2,
+                            verified=oracle.runs_for(func, target))
+        assert check.ok and check.compiled_runs == 2
+        assert exec_counts == {"runs": 2, "randomizations": 2}
+
     def test_input_reference_catches_scalar_miscompile(self):
         module, func = build()
         faults = FaultInjector(
@@ -740,6 +828,22 @@ class TestRobustnessCLI:
                      "--verify"]) == 0
         out = capsys.readouterr().out
         assert "outputs match" in out
+
+    def test_run_verify_compiled_backend_shares_the_oracle_run(
+            self, kernel_file, capsys, exec_counts):
+        assert main(["run", kernel_file, "--arg", "i=8", "--verify",
+                     "--backend", "compiled", "--verify-runs", "2",
+                     "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "verify: @kernel scalar and LSLP outputs match "
+            "(2 run(s), seeds 3..4)",
+            "backend-verify: backend cross-check ok: 2 runs, 2 compiled, "
+            "0 fallbacks",
+        ]
+        # Two oracle runs per seed, none in the cross-check; one image
+        # per seed, plus the image the final compiled run executes on.
+        assert exec_counts == {"runs": 4, "randomizations": 3}
 
     def test_run_verify_rejects_no_guard(self, kernel_file):
         with pytest.raises(SystemExit, match="verify requires"):
