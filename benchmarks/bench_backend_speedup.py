@@ -4,7 +4,7 @@ interpreter, per catalog kernel, plus the warm-cache serving path.
 Not a paper figure: this measures the PR's own execution subsystem.
 Three claims are asserted:
 
-* the compiled (flat NumPy) tier beats the interpreter by >= 10x
+* the compiled (flat Python) tier beats the interpreter by >= 10x
   wall-clock on at least half the evaluation catalog,
 * cold cost (emit + load) amortizes: it is bounded by a handful of
   warm runs' worth of interpreter time, and
@@ -94,9 +94,9 @@ def _measure(kernel) -> dict:
 
 @pytest.fixture(scope="module")
 def measurements():
-    # One throwaway emit+run first: the process-wide costs (numpy
-    # import, bytecode compilation of the loader) land on the first
-    # kernel otherwise and would be misread as its cold cost.
+    # One throwaway emit+run first: the process-wide costs (bytecode
+    # compilation of the loader) land on the first kernel otherwise
+    # and would be misread as its cold cost.
     _measure(EVALUATION_KERNELS[0])
     return [_measure(kernel) for kernel in EVALUATION_KERNELS]
 

@@ -1,4 +1,4 @@
-"""Tiered execution backend: flat generated Python/NumPy code.
+"""Tiered execution backend: flat generated Python code.
 
 The interpreter (`repro.interp`) stays the slow-but-trusted
 reference; this package compiles IR functions to flat Python source
@@ -11,11 +11,8 @@ See docs/BACKEND.md.
 from .emit import (
     EMIT_VERSION,
     EmittedModule,
-    NUMPY_LANE_THRESHOLD,
     UnsupportedConstruct,
-    VECTOR_MODES,
     emit_module,
-    resolve_vector_mode,
 )
 from .runtime import CompiledModule, clear_load_cache, load_compiled
 from .tiers import BACKEND_MODES, TierRun, TieredExecutor
@@ -27,15 +24,12 @@ __all__ = [
     "CrossCheckResult",
     "EMIT_VERSION",
     "EmittedModule",
-    "NUMPY_LANE_THRESHOLD",
     "TierRun",
     "TieredExecutor",
     "UnsupportedConstruct",
-    "VECTOR_MODES",
     "clear_load_cache",
     "cross_check",
     "emit_module",
     "load_compiled",
-    "resolve_vector_mode",
     "values_equal",
 ]

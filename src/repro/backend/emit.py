@@ -8,26 +8,13 @@ values, same simulated-cycle accounting — but runs one to two orders
 of magnitude faster because each IR instruction becomes a single
 already-dispatched Python expression instead of a tree walk.
 
-Two vector rendering modes exist, resolved once per module:
-
-``unrolled``
-    Vector SSA values are Python tuples of per-lane scalar
-    expressions; each lane renders to exactly the arithmetic the
-    interpreter would perform, so results are equal by construction.
-    This is the fastest mode at the small lane counts (2–8) the SLP
-    catalog produces, because it never pays NumPy's per-call array
-    overhead.
-
-``numpy``
-    Vector SSA values are NumPy arrays; vector loads materialize
-    ``_np.array(buf[o:o+n], dtype=...)`` and vector ops become ufunc
-    expressions.  This wins once lane counts grow past
-    :data:`NUMPY_LANE_THRESHOLD`.
-
-Memory buffers stay plain Python lists in *both* modes (the live
-``MemoryImage`` buffers are mutated directly through slice
-assignment), so the compiled tier is a drop-in replacement with no
-state mirroring or synchronization.
+Vector SSA values are Python tuples of per-lane scalar expressions;
+each lane renders to exactly the arithmetic the interpreter would
+perform, so results are equal by construction.  Memory buffers stay
+plain Python lists (the live ``MemoryImage`` buffers are mutated
+directly through slice assignment), so the compiled tier is a drop-in
+replacement with no state mirroring or synchronization.  Generated
+modules import nothing beyond :mod:`repro`.
 
 Constructs the emitter deliberately does not support raise
 :class:`UnsupportedConstruct`; the tier policy falls back to the
@@ -65,13 +52,9 @@ from ..ir.instructions import (
 )
 from ..ir.values import Constant, GlobalArray, Value, VectorConstant
 
-#: bump when the shape of generated source changes; part of cache keys
-EMIT_VERSION = 1
-
-#: ``auto`` picks numpy rendering at or above this many vector lanes
-NUMPY_LANE_THRESHOLD = 16
-
-VECTOR_MODES = ("auto", "numpy", "unrolled")
+#: bump when the shape of generated source changes; part of the cache
+#: key of every job that stores generated source
+EMIT_VERSION = 2
 
 #: recursion guard mirrored from ``Interpreter.MAX_CALL_DEPTH``
 MAX_CALL_DEPTH = 64
@@ -95,7 +78,6 @@ class EmittedModule:
     """One IR module rendered to flat Python source."""
 
     source: str
-    mode: str                      #: resolved vector mode
     functions: dict[str, dict]     #: per supported function: meta dict
     unsupported: dict[str, dict]   #: name -> {"construct", "detail"}
     n_blocks: int
@@ -128,9 +110,6 @@ _CMP_OPS = {
     "oeq": "==", "one": "!=",
     "olt": "<", "ole": "<=", "ogt": ">", "oge": ">=",
 }
-_NP_INT = {8: "_np.int8", 16: "_np.int16", 32: "_np.int32", 64: "_np.int64"}
-_NP_UINT = {8: "_np.uint8", 16: "_np.uint16",
-            32: "_np.uint32", 64: "_np.uint64"}
 
 _INT_LIT = re.compile(r"^-?\d+$")
 _NAME = re.compile(r"^[A-Za-z_]\w*$")
@@ -204,8 +183,7 @@ def _kind_of(ty) -> tuple:
     """Compact runtime-representation tag for a type.
 
     ``("i", bits)`` / ``("f",)`` scalars, ``("iv", bits, n)`` /
-    ``("fv", n)`` vectors, ``("bv", n)`` numpy bool vectors (compare
-    results), ``("p",)`` pointers, ``("v",)`` void.
+    ``("fv", n)`` vectors, ``("p",)`` pointers, ``("v",)`` void.
     """
     if ty.is_vector:
         elem = ty.element
@@ -221,30 +199,7 @@ def _kind_of(ty) -> tuple:
     return ("v",)
 
 
-def resolve_vector_mode(module: Module, vector_mode: str = "auto") -> str:
-    """Pick one rendering mode for the whole module.
-
-    A single mode avoids representation mismatches across internal
-    calls (tuples vs arrays).  ``auto`` chooses numpy only when wide
-    vectors appear; at catalog lane counts (2–8) unrolled tuples are
-    strictly faster.
-    """
-    if vector_mode not in VECTOR_MODES:
-        raise ValueError(f"unknown vector mode {vector_mode!r}")
-    if vector_mode != "auto":
-        return vector_mode
-    widest = 0
-    for func in module.functions.values():
-        for block in func.blocks:
-            for inst in block.instructions:
-                if inst.type.is_vector:
-                    widest = max(widest, inst.type.count)
-    return "numpy" if widest >= NUMPY_LANE_THRESHOLD else "unrolled"
-
-
 _PRELUDE = '''\
-import numpy as _np
-
 from repro.interp.interpreter import (
     DEFAULT_STEP_LIMIT as _DLIM,
     InterpreterError as _IErr,
@@ -280,12 +235,6 @@ def _fdiv(a, b):
     if b == 0.0:
         raise _EErr("fdiv by zero")
     return a / b
-
-
-def _vfdiv(a, b):
-    if not b.all():
-        raise _EErr("fdiv by zero")
-    return a / b
 '''
 
 
@@ -301,7 +250,6 @@ class _FunctionEmitter:
                  block_base: int):
         self.me = parent
         self.func = func
-        self.mode = parent.mode
         self.block_base = block_base
         self.lines: list[str] = []
         self.indent = 1
@@ -324,31 +272,6 @@ class _FunctionEmitter:
         name = f"{prefix}{self.counter}"
         self.counter += 1
         return name
-
-    def _numpy_int_dtype(self, bits: int, unsigned: bool = False) -> str:
-        table = _NP_UINT if unsigned else _NP_INT
-        dtype = table.get(bits)
-        if dtype is None:
-            raise UnsupportedConstruct(
-                "vector-int-width",
-                f"no numpy dtype for i{bits} vectors",
-            )
-        return dtype
-
-    def _dtype_for(self, elem) -> str:
-        if elem.is_float:
-            return "_np.float64"
-        if elem.bits == 1:
-            raise UnsupportedConstruct(
-                "i1-vector", "i1 vector values have no numpy rendering"
-            )
-        return self._numpy_int_dtype(elem.bits)
-
-    def kind_of_value(self, value: Value) -> tuple:
-        known = self.kinds.get(id(value))
-        if known is not None:
-            return known
-        return _kind_of(value.type)
 
     # ---- value references ---------------------------------------------
 
@@ -383,38 +306,15 @@ class _FunctionEmitter:
         return name
 
     def _vector_constant(self, vc: VectorConstant) -> str:
-        elem = vc.type.element
-        if self.mode == "unrolled":
-            lanes = (
-                ", ".join(_float_lit(v) for v in vc.values)
-                if elem.is_float
-                else ", ".join(_int_lit(v) for v in vc.values)
-            )
-            return f"({lanes},)"
-        if elem.bits == 1 and not elem.is_float:
-            # A constant-folded vector cmp (e.g. an always-true select
-            # mask from if-conversion + constfold): a numpy bool array.
-            return self.me.hoist_constant(
-                tuple(1 if v else 0 for v in vc.values), "_np.bool_"
-            )
-        dtype = self._dtype_for(elem)
-        return self.me.hoist_constant(tuple(vc.values), dtype)
+        render = _float_lit if vc.type.element.is_float else _int_lit
+        return "(" + ", ".join(render(v) for v in vc.values) + ",)"
 
     def _undef_vector(self, uv: UndefVector) -> str:
-        elem = uv.type.element
-        count = uv.type.count
-        if self.mode == "unrolled":
-            zero = "0.0" if elem.is_float else "0"
-            return "(" + ", ".join([zero] * count) + ",)"
-        if elem.bits == 1 and not elem.is_float:
-            return self.me.hoist_constant(tuple([0] * count), "_np.bool_")
-        dtype = self._dtype_for(elem)
-        return self.me.hoist_constant(
-            tuple([0.0 if elem.is_float else 0] * count), dtype
-        )
+        zero = "0.0" if uv.type.element.is_float else "0"
+        return "(" + ", ".join([zero] * uv.type.count) + ",)"
 
     def lane(self, value: Value, index: int) -> str:
-        """Per-lane scalar expression for an unrolled vector value."""
+        """Per-lane scalar expression for a vector value."""
         if isinstance(value, VectorConstant):
             v = value.values[index]
             return (_float_lit(v) if value.type.element.is_float
@@ -450,7 +350,7 @@ class _FunctionEmitter:
     # ---- pre-pass: names, kinds, support checks -------------------------
 
     def _prepass(self) -> None:
-        func, mode = self.func, self.mode
+        func = self.func
         for argument in func.arguments:
             kind = _kind_of(argument.type)
             if kind[0] == "p":
@@ -459,19 +359,11 @@ class _FunctionEmitter:
                     f"@{func.name} takes pointer parameter "
                     f"%{argument.name}",
                 )
-            if mode == "numpy" and kind[0] == "iv":
-                if kind[1] == 1:
-                    raise UnsupportedConstruct(
-                        "i1-vector",
-                        f"argument %{argument.name} is an i1 vector",
-                    )
-                self._numpy_int_dtype(kind[1])
             self.names[id(argument)] = self.fresh("_a")
             self.kinds[id(argument)] = kind
         for block in func.blocks:
             for inst in block.instructions:
-                ty = inst.type
-                kind = _kind_of(ty)
+                kind = _kind_of(inst.type)
                 if kind[0] == "p":
                     if not isinstance(inst, GetElementPtr):
                         raise UnsupportedConstruct(
@@ -482,23 +374,6 @@ class _FunctionEmitter:
                     continue
                 if kind[0] == "v":
                     continue
-                if mode == "numpy" and kind[0] == "iv":
-                    if isinstance(inst, Cmp):
-                        kind = ("bv", kind[2])
-                    elif kind[1] == 1 and isinstance(
-                            inst, (Splat, InsertElement, ShuffleVector,
-                                   Select)):
-                        # mask plumbing (broadcast/gathered/blended
-                        # select conditions): numpy bool vectors
-                        kind = ("bv", kind[2])
-                    elif kind[1] == 1:
-                        raise UnsupportedConstruct(
-                            "i1-vector",
-                            f"{inst.opcode} produces {ty} in "
-                            f"@{func.name}",
-                        )
-                    else:
-                        self._numpy_int_dtype(kind[1])
                 self.names[id(inst)] = self.fresh("_v")
                 self.kinds[id(inst)] = kind
 
@@ -525,7 +400,7 @@ class _FunctionEmitter:
                 expr = f"min({x}, {y})"
             else:
                 expr = f"max({x}, {y})"
-        elif self.mode == "unrolled":
+        else:
             count = kind[2] if kind[0] == "iv" else kind[1]
             if kind[0] == "iv":
                 bits = kind[1]
@@ -550,91 +425,27 @@ class _FunctionEmitter:
                     else:
                         lanes.append(f"max({x}, {y})")
             expr = "(" + ", ".join(lanes) + ",)"
-        else:
-            expr = self._numpy_binop(inst, kind)
         self.line(f"{name} = {expr}")
-
-    def _numpy_binop(self, inst: BinaryOperator, kind: tuple) -> str:
-        op = inst.opcode
-        x, y = self.ref(inst.lhs), self.ref(inst.rhs)
-        if op in ("fadd", "fsub", "fmul"):
-            return f"({x}) {_FLOAT_DIRECT[op]} ({y})"
-        if op in ("add", "sub", "mul", "and", "or", "xor"):
-            return f"({x}) {_INT_DIRECT[op]} ({y})"
-        if op == "fdiv":
-            return f"_vfdiv({x}, {y})"
-        if op in ("fmin", "smin"):
-            # np.minimum disagrees with Python min on NaN and ±0;
-            # where() reproduces "y if y < x else x" exactly.
-            return f"_np.where(({y}) < ({x}), {y}, {x})"
-        if op in ("fmax", "smax"):
-            return f"_np.where(({y}) > ({x}), {y}, {x})"
-        if op in ("sdiv", "srem"):
-            raise UnsupportedConstruct(
-                "vector-int-division",
-                f"vector {op} has no exact numpy rendering "
-                f"(C truncation vs floor)",
-            )
-        if op in ("shl", "lshr", "ashr"):
-            return self._numpy_shift(inst, kind)
-        raise UnsupportedConstruct("opcode", f"vector {op}")
-
-    def _numpy_shift(self, inst: BinaryOperator, kind: tuple) -> str:
-        bits = kind[1]
-        op = inst.opcode
-        x = self.ref(inst.lhs)
-        rhs = inst.rhs
-        amount: Optional[str] = None
-        amount_is_array = False
-        if isinstance(rhs, Splat) and isinstance(rhs.scalar, Constant):
-            k = rhs.scalar.value
-            if 0 <= k < bits:
-                amount = str(k)
-        elif isinstance(rhs, VectorConstant):
-            if all(0 <= v < bits for v in rhs.values):
-                amount = self.ref(rhs)
-                amount_is_array = True
-        if amount is None:
-            raise UnsupportedConstruct(
-                "vector-shift-dynamic",
-                f"vector {op} amount is not a static in-range constant",
-            )
-        if op == "shl":
-            return f"({x}) << ({amount})"
-        if op == "ashr":
-            return f"({x}) >> ({amount})"
-        unsigned = self._numpy_int_dtype(bits, unsigned=True)
-        signed = self._numpy_int_dtype(bits)
-        if amount_is_array:
-            # a signed amount array has no safe common type with the
-            # unsigned operand — numpy refuses uint64 >> int64
-            amount = f"({amount}).astype({unsigned})"
-        return (f"(({x}).astype({unsigned}) >> ({amount}))"
-                f".astype({signed})")
 
     def _emit_unop(self, inst: UnaryOperator) -> None:
         name = self.names[id(inst)]
         kind = self.kinds[id(inst)]
         operand = inst.operands[0]
         if inst.opcode == "fneg":
-            if kind[0] in ("f",):
+            if kind[0] == "f":
                 expr = f"-({self.ref(operand)})"
-            elif self.mode == "unrolled":
+            else:
                 lanes = [f"-({self.lane(operand, i)})"
                          for i in range(kind[1])]
                 expr = "(" + ", ".join(lanes) + ",)"
-            else:
-                expr = f"-({self.ref(operand)})"
         else:  # not
             if kind[0] == "i":
                 expr = _wrapped(f"~({self.ref(operand)})", kind[1])
-            elif self.mode == "unrolled":
+            else:
                 bits, count = kind[1], kind[2]
                 lanes = [_wrapped(f"~({self.lane(operand, i)})", bits)
                          for i in range(count)]
                 expr = "(" + ", ".join(lanes) + ",)"
-            else:
-                expr = f"~({self.ref(operand)})"
         self.line(f"{name} = {expr}")
 
     def _emit_cmp(self, inst: Cmp) -> None:
@@ -649,8 +460,6 @@ class _FunctionEmitter:
         if kind[0] == "i":
             expr = (f"1 if ({self.ref(lhs)}) {op} ({self.ref(rhs)}) "
                     f"else 0")
-        elif kind[0] == "bv":
-            expr = f"({self.ref(lhs)}) {op} ({self.ref(rhs)})"
         else:
             count = kind[2]
             lanes = [
@@ -668,7 +477,7 @@ class _FunctionEmitter:
         if kind[0] in ("i", "f"):
             expr = (f"({self.ref(on_true)}) if ({self.ref(cond)}) "
                     f"else ({self.ref(on_false)})")
-        elif self.mode == "unrolled":
+        else:
             count = kind[2] if kind[0] == "iv" else kind[1]
             lanes = [
                 f"({self.lane(on_true, i)}) if ({self.lane(cond, i)}) "
@@ -676,9 +485,6 @@ class _FunctionEmitter:
                 for i in range(count)
             ]
             expr = "(" + ", ".join(lanes) + ",)"
-        else:
-            expr = (f"_np.where({self.ref(cond)}, {self.ref(on_true)}, "
-                    f"{self.ref(on_false)})")
         self.line(f"{name} = {expr}")
 
     def _emit_gep(self, inst: GetElementPtr) -> None:
@@ -706,16 +512,7 @@ class _FunctionEmitter:
                 f"if ({off}) < 0 or ({off}) + {count} > {length}: "
                 f"_oob({gname!r}, {off}, {count}, {length})"
             )
-            if self.mode == "numpy":
-                dtype = self._dtype_for(inst.type.element)
-                self.line(
-                    f"{name} = _np.array("
-                    f"{buf}[({off}):({off}) + {count}], dtype={dtype})"
-                )
-            else:
-                self.line(
-                    f"{name} = tuple({buf}[({off}):({off}) + {count}])"
-                )
+            self.line(f"{name} = tuple({buf}[({off}):({off}) + {count}])")
         else:
             self.line(
                 f"if not 0 <= ({off}) < {length}: "
@@ -727,28 +524,15 @@ class _FunctionEmitter:
         gname, off = self.ptr_of(inst.ptr)
         buf, length = self.buffer(gname)
         value = inst.value
-        kind = self.kind_of_value(value)
-        if kind[0] == "bv":
-            raise UnsupportedConstruct(
-                "i1-memory", "storing an i1 compare vector to memory"
-            )
+        kind = _kind_of(value.type)
         if kind[0] in ("iv", "fv"):
             count = kind[2] if kind[0] == "iv" else kind[1]
-            if self.mode == "numpy" and kind[0] == "iv" and kind[1] == 1:
-                raise UnsupportedConstruct(
-                    "i1-memory", "storing an i1 vector to memory"
-                )
             self.line(
                 f"if ({off}) < 0 or ({off}) + {count} > {length}: "
                 f"_oob({gname!r}, {off}, {count}, {length})"
             )
-            ref = self.ref(value)
-            if self.mode == "numpy":
-                self.line(
-                    f"{buf}[({off}):({off}) + {count}] = ({ref}).tolist()"
-                )
-            else:
-                self.line(f"{buf}[({off}):({off}) + {count}] = {ref}")
+            self.line(f"{buf}[({off}):({off}) + {count}] = "
+                      f"{self.ref(value)}")
         else:
             self.line(
                 f"if not 0 <= ({off}) < {length}: "
@@ -761,60 +545,31 @@ class _FunctionEmitter:
         kind = self.kinds[id(inst)]
         vec, scalar = inst.vec, inst.scalar
         lane = inst.lane
-        if self.mode == "unrolled":
-            count = kind[2] if kind[0] == "iv" else kind[1]
-            lanes = [
-                self.ref(scalar) if i == lane else self.lane(vec, i)
-                for i in range(count)
-            ]
-            self.line(f"{name} = (" + ", ".join(lanes) + ",)")
-        else:
-            self.line(f"{name} = ({self.ref(vec)}).copy()")
-            self.line(f"{name}[{lane}] = {self.ref(scalar)}")
+        count = kind[2] if kind[0] == "iv" else kind[1]
+        lanes = [
+            self.ref(scalar) if i == lane else self.lane(vec, i)
+            for i in range(count)
+        ]
+        self.line(f"{name} = (" + ", ".join(lanes) + ",)")
 
     def _emit_extract(self, inst: ExtractElement) -> None:
         name = self.names[id(inst)]
-        vec = inst.vec
-        lane = inst.lane
-        if self.mode == "unrolled":
-            self.line(f"{name} = {self.lane(vec, lane)}")
-            return
-        vkind = self.kind_of_value(vec)
-        cast = "float" if vkind[0] == "fv" else "int"
-        self.line(f"{name} = {cast}(({self.ref(vec)})[{lane}])")
+        self.line(f"{name} = {self.lane(inst.vec, inst.lane)}")
 
     def _emit_shuffle(self, inst: ShuffleVector) -> None:
         name = self.names[id(inst)]
         a, b = inst.operands
         count = a.type.count
-        mask = inst.mask
-        if self.mode == "unrolled":
-            lanes = [
-                self.lane(a, m) if m < count else self.lane(b, m - count)
-                for m in mask
-            ]
-            self.line(f"{name} = (" + ", ".join(lanes) + ",)")
-        else:
-            # a fancy-index LIST (a tuple would be multi-dim indexing)
-            picks = "[" + ", ".join(str(m) for m in mask) + "]"
-            self.line(
-                f"{name} = _np.concatenate(({self.ref(a)}, "
-                f"{self.ref(b)}))[{picks}]"
-            )
+        lanes = [
+            self.lane(a, m) if m < count else self.lane(b, m - count)
+            for m in inst.mask
+        ]
+        self.line(f"{name} = (" + ", ".join(lanes) + ",)")
 
     def _emit_splat(self, inst: Splat) -> None:
         name = self.names[id(inst)]
-        count = inst.type.count
         scalar = self.ref(inst.scalar)
-        if self.mode == "unrolled":
-            self.line(f"{name} = (({scalar}),) * {count}")
-        else:
-            elem = inst.type.element
-            dtype = ("_np.bool_" if elem.bits == 1 and not elem.is_float
-                     else self._dtype_for(elem))
-            self.line(
-                f"{name} = _np.full({count}, {scalar}, dtype={dtype})"
-            )
+        self.line(f"{name} = (({scalar}),) * {inst.type.count}")
 
     def _emit_call(self, inst: Call) -> None:
         callee = inst.callee
@@ -1027,14 +782,10 @@ class _FunctionEmitter:
         header = f"def {py_name}(_args, _mem, _ctl, _limit):"
         self.rendered = "\n".join([header] + prolog + code) + "\n"
 
-        ret_kind = _kind_of(func.return_type)
-        if (self.mode == "numpy" and ret_kind[0] == "iv"
-                and ret_kind[1] == 1):
-            ret_kind = ("bv", ret_kind[2])
         return {
             "py": py_name,
             "args": arg_kinds,
-            "ret": ret_kind,
+            "ret": _kind_of(func.return_type),
             "buffers": sorted(self.buffers),
             "callees": sorted(set(self.callees)),
             "n_blocks": len(blocks),
@@ -1048,30 +799,13 @@ class _FunctionEmitter:
 
 
 class _ModuleEmitter:
-    def __init__(self, module: Module, target: TargetCostModel,
-                 mode: str):
+    def __init__(self, module: Module, target: TargetCostModel):
         self.module = module
         self.target = target
-        self.mode = mode
         self.py_names: dict[str, str] = {}
-        self.constants: dict[tuple, str] = {}
-        self.constant_lines: list[str] = []
         self.block_cycles: list[int] = []
         self.block_retired: list[int] = []
         self.block_ops: list[dict[str, int]] = []
-
-    def hoist_constant(self, values: tuple, dtype: str) -> str:
-        key = (values, dtype)
-        name = self.constants.get(key)
-        if name is None:
-            name = f"_c{len(self.constants)}"
-            self.constants[key] = name
-            render = _float_lit if "float" in dtype else _int_lit
-            literal = "[" + ", ".join(render(v) for v in values) + "]"
-            self.constant_lines.append(
-                f"{name} = _np.array({literal}, dtype={dtype})"
-            )
-        return name
 
     def emit(self) -> EmittedModule:
         for i, name in enumerate(self.module.functions):
@@ -1132,14 +866,11 @@ class _ModuleEmitter:
             meta["buffers"] = sorted(closure(name, set()))
 
         parts = [
-            f'"""Generated by repro.backend.emit v{EMIT_VERSION} '
-            f'(mode={self.mode}). Do not edit."""',
+            f'"""Generated by repro.backend.emit v{EMIT_VERSION}. '
+            f'Do not edit."""',
             "",
             _PRELUDE,
         ]
-        if self.constant_lines:
-            parts.extend(self.constant_lines)
-            parts.append("")
         for name in metas:
             parts.append(bodies[name])
         parts.append(f"_BLOCK_CYCLES = {tuple(self.block_cycles)!r}")
@@ -1147,7 +878,6 @@ class _ModuleEmitter:
         parts.append(f"_BLOCK_OPS = {tuple(self.block_ops)!r}")
         meta_doc = {
             "version": EMIT_VERSION,
-            "mode": self.mode,
             "n_blocks": len(self.block_cycles),
             "functions": metas,
             "unsupported": unsupported,
@@ -1157,32 +887,26 @@ class _ModuleEmitter:
         source = "\n".join(parts)
         return EmittedModule(
             source=source,
-            mode=self.mode,
             functions=metas,
             unsupported=unsupported,
             n_blocks=len(self.block_cycles),
         )
 
 
-def emit_module(module: Module, target: TargetCostModel,
-                vector_mode: str = "auto") -> EmittedModule:
+def emit_module(module: Module, target: TargetCostModel) -> EmittedModule:
     """Render ``module`` to flat Python source.
 
     Unsupported functions are recorded in ``EmittedModule.unsupported``
     rather than raising; the tier policy decides whether that means
     fallback (``auto``) or an error (``compiled``).
     """
-    mode = resolve_vector_mode(module, vector_mode)
-    return _ModuleEmitter(module, target, mode).emit()
+    return _ModuleEmitter(module, target).emit()
 
 
 __all__ = [
     "EMIT_VERSION",
     "EmittedModule",
     "MAX_CALL_DEPTH",
-    "NUMPY_LANE_THRESHOLD",
     "UnsupportedConstruct",
-    "VECTOR_MODES",
     "emit_module",
-    "resolve_vector_mode",
 ]

@@ -57,12 +57,11 @@ def _load_namespace(source: str, sha: str) -> dict:
 
 def _normalize_return(kind: tuple, value):
     """Convert a generated function's native return representation
-    (tuple / numpy array) to the interpreter's (scalars / lists)."""
+    (tuples) to the interpreter's (scalars / lists)."""
     if value is None or kind[0] in ("i", "f", "v"):
         return value
     if kind[0] == "fv":
         return [float(v) for v in value]
-    # iv / bv: int() is exact for python ints, numpy ints and bools
     return [int(v) for v in value]
 
 
@@ -179,7 +178,6 @@ class CompiledModule:
                 f"generated source version "
                 f"{self.meta.get('version')!r} != {EMIT_VERSION}"
             )
-        self.mode = self.meta["mode"]
         self._cycles = self.namespace["_BLOCK_CYCLES"]
         self._retired = self.namespace["_BLOCK_RETIRED"]
         self._ops = self.namespace["_BLOCK_OPS"]
@@ -197,19 +195,10 @@ class CompiledModule:
         if runner is not None:
             return runner
         meta = self.meta["functions"][func_name]
-        np = self.namespace["_np"]
-        arg_spec = []
-        for arg_name, kind in meta["args"]:
-            convert = None
-            if kind[0] in ("iv", "fv"):
-                if self.mode == "numpy":
-                    dtype = (np.float64 if kind[0] == "fv"
-                             else getattr(np, f"int{kind[1]}"))
-                    convert = (lambda v, _np=np, _dt=dtype:
-                               _np.array(list(v), dtype=_dt))
-                else:
-                    convert = tuple
-            arg_spec.append((arg_name, convert))
+        arg_spec = [
+            (arg_name, tuple if kind[0] in ("iv", "fv") else None)
+            for arg_name, kind in meta["args"]
+        ]
         fast = None
         if meta["n_blocks"] == 1 and not meta["callees"]:
             # straight-line, call-free: the one block executes exactly

@@ -65,15 +65,13 @@ class TieredExecutor:
     def __init__(self, module: Module, memory: MemoryImage,
                  target: Optional[TargetCostModel] = None,
                  backend: str = "auto",
-                 source: Optional[str] = None,
-                 vector_mode: str = "auto"):
+                 source: Optional[str] = None):
         if backend not in BACKEND_MODES:
             raise ValueError(f"unknown backend {backend!r}")
         self.module = module
         self.memory = memory
         self.target = target or TargetCostModel(skylake_like())
         self.backend = backend
-        self.vector_mode = vector_mode
         self._interpreter = Interpreter(self.memory, self.target)
         self._compiled: Optional[CompiledModule] = None
         self._emitted_source: Optional[str] = source
@@ -92,10 +90,8 @@ class TieredExecutor:
         if self._compiled is None and self._load_error is None:
             try:
                 if self._emitted_source is None:
-                    with span("backend.emit", module=self.module.name,
-                              vector_mode=self.vector_mode):
-                        emitted = emit_module(self.module, self.target,
-                                              self.vector_mode)
+                    with span("backend.emit", module=self.module.name):
+                        emitted = emit_module(self.module, self.target)
                     self._emitted_source = emitted.source
                     obs_metrics.add("backend.emits")
                 with span("backend.load"):
@@ -178,8 +174,7 @@ class TieredExecutor:
         if tracing.active() is None:
             result = bound.run(args, step_limit)
         else:
-            with span("backend.exec", function=func_name,
-                      mode=compiled.mode):
+            with span("backend.exec", function=func_name):
                 result = bound.run(args, step_limit)
         if obs_metrics.publishing():
             obs_metrics.add("backend.exec.runs")

@@ -107,7 +107,6 @@ def cross_check(module: Module, func: Function,
                 runs: int = 3, base_seed: int = 0,
                 backend: str = "compiled",
                 source: Optional[str] = None,
-                vector_mode: str = "auto",
                 verified: Sequence[VerifiedRun] = ()) -> CrossCheckResult:
     """Run ``func`` under both tiers on fresh seeded memories.
 
@@ -127,8 +126,7 @@ def cross_check(module: Module, func: Function,
         # emit once up front; per-run executors then share the source
         # (load_compiled memoizes by content hash)
         probe = TieredExecutor(module, MemoryImage(module), target,
-                               backend=backend,
-                               vector_mode=vector_mode)
+                               backend=backend)
         source = probe.source
     by_seed = {run.seed: run for run in verified}
     for index, args in enumerate(
@@ -151,8 +149,7 @@ def cross_check(module: Module, func: Function,
             except Exception as exc:
                 ref_err = exc
         executor = TieredExecutor(module, mem_cmp, target,
-                                  backend=backend, source=source,
-                                  vector_mode=vector_mode)
+                                  backend=backend, source=source)
         tier_run = None
         try:
             tier_run = executor.run(func.name, args)

@@ -1010,7 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--backend", choices=["interp", "compiled", "auto"],
         default="interp",
-        help="execution tier: the interpreter, generated Python/NumPy "
+        help="execution tier: the interpreter, generated Python "
              "code, or auto (compiled with interpreter fallback); "
              "--verify additionally cross-checks the compiled tier "
              "against the interpreter exactly (default: interp)",

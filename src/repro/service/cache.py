@@ -132,7 +132,7 @@ class CacheEntry:
     #: execution backend the artifact was produced/verified for
     #: ("interp" | "compiled" | "auto")
     backend: str = "interp"
-    #: flat Python/NumPy source from :mod:`repro.backend.emit`; empty
+    #: flat Python source from :mod:`repro.backend.emit`; empty
     #: for interpreter-only artifacts.  A warm hit hands this straight
     #: to :func:`repro.backend.runtime.load_compiled` — zero re-emits.
     generated_source: str = ""

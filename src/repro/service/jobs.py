@@ -128,16 +128,21 @@ class CompileJob:
     def cache_key(self) -> str:
         kind, text = self.payload
         target = TargetCostModel(self.target_desc)
-        return compute_key(
-            kind, text, self.config, target, pipeline=PIPELINE_NAME,
-            extra={
-                "guard": self.guard,
-                "verify_runs": self.verify_runs,
-                "verify_seed": self.verify_seed,
-                "args": sorted((self.args or {}).items()),
-                "backend": self.backend,
-            },
-        )
+        extra = {
+            "guard": self.guard,
+            "verify_runs": self.verify_runs,
+            "verify_seed": self.verify_seed,
+            "args": sorted((self.args or {}).items()),
+            "backend": self.backend,
+        }
+        if self.backend != "interp":
+            # the entry stores generated source, which only loads under
+            # the emitter version that wrote it; interp entries carry
+            # none, so their keys stay valid across emitter changes
+            from ..backend import emit
+            extra["emit_version"] = emit.EMIT_VERSION
+        return compute_key(kind, text, self.config, target,
+                           pipeline=PIPELINE_NAME, extra=extra)
 
     def degraded(self) -> "CompileJob":
         """This job with vectorization disabled (admission fallback)."""

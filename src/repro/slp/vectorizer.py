@@ -42,7 +42,7 @@ from ..analysis.scev import ScalarEvolution
 from ..costmodel.targets import skylake_like
 from ..costmodel.tti import TargetCostModel
 from ..ir.basicblock import BasicBlock
-from ..ir.function import Function, Module
+from ..ir.function import Function
 from ..obs import metrics as _metrics
 from ..obs import records as _records
 from ..obs.tracing import span
@@ -238,29 +238,6 @@ class SLPVectorizer:
 
     # ------------------------------------------------------------------
 
-    def run_module(self, module: Module,
-                   module_meter: Optional[ModuleMeter] = None
-                   ) -> VectorizationReport:
-        if (module_meter is None and self.config.budget is not None
-                and self.config.budget.has_module_caps):
-            module_meter = ModuleMeter(self.config.budget)
-        if (self.config.enabled
-                and self.config.plan_select in MODULE_SELECT_MODES):
-            driver = ModuleVectorizationDriver(self.config, self.target,
-                                               module_meter)
-            funcs = list(module.functions.values())
-            for func in funcs:
-                driver.plan_function(func)
-            driver.select()
-            report = VectorizationReport("<module>", self.config.name)
-            for func in funcs:
-                report.merge(driver.apply_function(func))
-            return report
-        report = VectorizationReport("<module>", self.config.name)
-        for func in module.functions.values():
-            report.merge(self.run_function(func, module_meter))
-        return report
-
     def run_function(self, func: Function,
                      module_meter: Optional[ModuleMeter] = None
                      ) -> VectorizationReport:
@@ -295,7 +272,7 @@ class SLPVectorizer:
             _records.restore_context(context)
         for event in meter.events:
             report.remarks.append(_budget_remark(func.name, event))
-        self._publish_metrics(report, meter)
+        _publish_report_metrics(report)
         return report
 
     # ------------------------------------------------------------------
@@ -337,10 +314,6 @@ class SLPVectorizer:
                       report, meter)
         record_outcomes(block_plan, applier, self.config.plan_select,
                         self.config.cost_threshold, selection)
-
-    def _publish_metrics(self, report: VectorizationReport,
-                         meter: BudgetMeter) -> None:
-        _publish_report_metrics(report)
 
 
 def _publish_report_metrics(report: VectorizationReport) -> None:

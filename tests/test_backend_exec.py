@@ -1,18 +1,24 @@
 """Differential tests for the compiled execution backend.
 
-Every catalog kernel, in both vector rendering modes, must reproduce
-the interpreter *exactly*: return values, final memory, and the
-simulated cycle accounting (cycles / instructions retired / opcode
-counts).  Control flow (loops, diamonds), calls (including recursion)
-and the error paths (bounds, step limit, call depth, missing
-arguments) are exercised with hand-built IR.
+Every catalog kernel must reproduce the interpreter *exactly*: return
+values, final memory, and the simulated cycle accounting (cycles /
+instructions retired / opcode counts).  Control flow (loops,
+diamonds), calls (including recursion) and the error paths (bounds,
+step limit, call depth, missing arguments) are exercised with
+hand-built IR.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.backend import (
+    EMIT_VERSION,
     CompiledModule,
     TieredExecutor,
     clear_load_cache,
@@ -38,19 +44,38 @@ def _build(kernel, config):
 
 
 # ---------------------------------------------------------------------------
-# Catalog sweep: both configs, both rendering modes, exact equality
+# Catalog sweep: every configuration, exact equality
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["unrolled", "numpy"])
 @pytest.mark.parametrize(
     "kernel", EVALUATION_KERNELS, ids=lambda k: k.name
 )
-def test_catalog_lslp_exact(kernel, mode):
+def test_catalog_lslp_exact(kernel):
     module, func = _build(kernel, VectorizerConfig.lslp())
     result = cross_check(
         module, func, TARGET, base_args=dict(kernel.default_args),
-        runs=2, vector_mode=mode,
+        runs=2,
+    )
+    assert result.ok, result.render()
+    assert result.compiled_runs == result.runs
+
+
+@pytest.mark.parametrize(
+    "config", [VectorizerConfig.slp_nr(), VectorizerConfig.slp()],
+    ids=lambda c: c.name,
+)
+@pytest.mark.parametrize(
+    "kernel", EVALUATION_KERNELS, ids=lambda k: k.name
+)
+def test_catalog_baseline_slp_exact(kernel, config):
+    """The paper's baseline vectorizers (SLP without and with
+    opcode-based reordering) pack other lanes and operand orders than
+    LSLP; their vector code must run compiled exactly too."""
+    module, func = _build(kernel, config)
+    result = cross_check(
+        module, func, TARGET, base_args=dict(kernel.default_args),
+        runs=2,
     )
     assert result.ok, result.render()
     assert result.compiled_runs == result.runs
@@ -223,7 +248,9 @@ def test_load_cache_memoizes_by_content():
 def test_version_mismatch_rejected():
     m, f = loop_module()
     emitted = emit_module(m, TARGET)
-    source = emitted.source.replace("'version': 1", "'version': 999")
+    stamp = f"'version': {EMIT_VERSION}"
+    assert emitted.source.count(stamp) == 1
+    source = emitted.source.replace(stamp, "'version': 999")
     clear_load_cache()
     with pytest.raises(ValueError, match="version"):
         CompiledModule(source)
@@ -253,3 +280,64 @@ def test_interp_backend_is_plain_interpreter():
     assert run.tier == "interp"
     assert not run.fallback
     assert executor.compiled is None
+
+
+_NO_NUMPY_PROGRAM = """
+import sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+
+from dataclasses import replace
+
+from repro.backend import cross_check, emit_module
+from repro.costmodel.targets import skylake_like
+from repro.kernels.catalog import ALL_KERNELS
+from repro.opt.pipelines import compile_function
+from repro.service import (
+    CompilationService, CompileCache, MemoryCache, job_for_kernel,
+)
+from repro.slp.vectorizer import VectorizerConfig
+
+LSLP_FULL = replace(VectorizerConfig.lslp(), name="LSLP-full",
+                    ifconvert="on", loop_vectorize=True,
+                    plan_select="module-greedy")
+target = skylake_like()
+for name in ("453.boy-surface", "branchy-clamp", "loop-dot"):
+    kernel = ALL_KERNELS[name]
+    module, func = kernel.build()
+    compile_function(func, LSLP_FULL, target)
+    emitted = emit_module(module, target)
+    assert "numpy" not in emitted.source, name
+    assert not emitted.unsupported, (name, emitted.unsupported)
+    result = cross_check(module, func, target,
+                         base_args=dict(kernel.default_args), runs=2,
+                         backend="compiled")
+    assert result.ok, (name, result.render())
+    assert result.compiled_runs == result.runs == 2, name
+    print(name, "compiled", result.compiled_runs)
+
+job = job_for_kernel(ALL_KERNELS["453.boy-surface"], LSLP_FULL, target,
+                     backend="compiled", verify_runs=1)
+served = CompilationService(
+    cache=CompileCache(memory=MemoryCache())).compile_job(job)
+assert served.error == "", served.error
+assert served.entry.backend == "compiled"
+assert "numpy" not in served.entry.generated_source
+print("service", served.entry.backend)
+"""
+
+
+def test_compiled_tier_runs_without_numpy():
+    """Generated modules and the runtime import nothing outside the
+    standard library and ``repro``: emission, cross-checking and a
+    verified compiled service job all work with numpy unimportable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROGRAM],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:4] == [
+        "453.boy-surface compiled 2",
+        "branchy-clamp compiled 2",
+        "loop-dot compiled 2",
+        "service compiled",
+    ]

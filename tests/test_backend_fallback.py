@@ -3,7 +3,8 @@ declines must (a) be recorded with its tag in
 ``EmittedModule.unsupported``, (b) raise :class:`UnsupportedConstruct`
 under ``backend=compiled``, and (c) — where the function is otherwise
 runnable — fall back to the interpreter under ``backend=auto`` with the
-construct surfaced on the :class:`TierRun`.
+construct surfaced on the :class:`TierRun`.  The vector constructs the
+emitter renders lane by lane run compiled and match the interpreter.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 from repro.backend import (
     TieredExecutor,
     UnsupportedConstruct,
+    cross_check,
     emit_module,
 )
 from repro.backend import tiers as tiers_mod
@@ -33,16 +35,15 @@ from repro.ir import (
 TARGET = target_by_name("skylake-like")
 
 
-def _unsupported(module, func_name, mode="auto"):
-    emitted = emit_module(module, TARGET, mode)
+def _unsupported(module, func_name):
+    emitted = emit_module(module, TARGET)
     assert func_name in emitted.unsupported, (
         f"@{func_name} unexpectedly supported:\n{emitted.source}"
     )
     return emitted.unsupported[func_name]
 
 
-def _auto_matches_interp(module, func_name, args, construct,
-                         vector_mode="auto"):
+def _auto_matches_interp(module, func_name, args, construct):
     """backend=auto must fall back AND agree with the interpreter."""
     mem_ref = MemoryImage(module)
     mem_ref.randomize(11)
@@ -50,8 +51,7 @@ def _auto_matches_interp(module, func_name, args, construct,
     expected = Interpreter(mem_ref, TARGET).run(
         module.get_function(func_name), dict(args)
     )
-    executor = TieredExecutor(module, mem_cmp, TARGET, backend="auto",
-                              vector_mode=vector_mode)
+    executor = TieredExecutor(module, mem_cmp, TARGET, backend="auto")
     run = executor.run(func_name, dict(args))
     assert run.fallback and run.tier == "interp"
     assert run.fallback_construct == construct
@@ -60,13 +60,11 @@ def _auto_matches_interp(module, func_name, args, construct,
     assert mem_cmp.same_contents(mem_ref)
 
 
-def _compiled_raises(module, func_name, construct, args=None,
-                     vector_mode="auto"):
+def _compiled_raises(module, func_name, construct, args=None):
     memory = MemoryImage(module)
     memory.randomize(11)
     executor = TieredExecutor(module, memory, TARGET,
-                              backend="compiled",
-                              vector_mode=vector_mode)
+                              backend="compiled")
     with pytest.raises(UnsupportedConstruct) as err:
         executor.run(func_name, dict(args or {}))
     assert err.value.construct == construct
@@ -131,8 +129,7 @@ def dynamic_shift_module():
 
 
 def i1_vector_module():
-    """Mask *arithmetic* (an ``and`` of two i1 vectors) has no numpy
-    rendering; mask plumbing (cmp/splat/insert/shuffle/select) does."""
+    """Mask *arithmetic*: an ``and`` of two i1 vectors."""
     m = Module("boolvec")
     a = m.add_global(GlobalArray("A", I64, 16))
     f = Function("mask", [("x", I64)])
@@ -149,8 +146,8 @@ def i1_vector_module():
 
 
 def splat_mask_module():
-    """A splat of an i1 condition is mask plumbing — now rendered as a
-    numpy bool vector (the uniform select mask if-conversion emits)."""
+    """A splat of an i1 condition: the uniform select mask
+    if-conversion emits."""
     m = Module("splatmask")
     f = Function("mask", [("x", I64)])
     f.return_type = I64
@@ -179,13 +176,13 @@ def i1_memory_module():
 
 
 def caller_of_unsupported_module():
-    """Caller is clean; its callee does a vector sdiv (numpy mode)."""
-    m = vector_sdiv_module()
-    callee = m.get_function("vdiv")
+    """Caller is clean; its callee selects between two pointers."""
+    m = pointer_flow_module()
+    callee = m.get_function("pick")
     caller = Function("outer", [("i", I64)])
+    caller.return_type = F64
     b = IRBuilder(caller.add_block("entry"))
-    b.call(callee, [caller.argument("i")])
-    b.ret()
+    b.ret(b.call(callee, [caller.argument("i")]))
     m.add_function(caller)
     return m
 
@@ -222,85 +219,34 @@ def test_pointer_flow():
     _auto_matches_interp(m, "pick", {"i": 12}, "pointer-flow")
 
 
-def test_vector_int_division_numpy_only():
-    m = vector_sdiv_module()
-    reason = _unsupported(m, "vdiv", mode="numpy")
-    assert reason["construct"] == "vector-int-division"
-    _compiled_raises(m, "vdiv", "vector-int-division", args={"i": 0},
-                     vector_mode="numpy")
-    _auto_matches_interp(m, "vdiv", {"i": 4}, "vector-int-division",
-                         vector_mode="numpy")
-    # the unrolled rendering handles it exactly
-    emitted = emit_module(m, TARGET, "unrolled")
-    assert "vdiv" not in emitted.unsupported
-
-
-def test_vector_shift_dynamic_numpy_only():
-    m = dynamic_shift_module()
-    reason = _unsupported(m, "vshl", mode="numpy")
-    assert reason["construct"] == "vector-shift-dynamic"
-    _compiled_raises(m, "vshl", "vector-shift-dynamic",
-                     args={"i": 0, "k": 3}, vector_mode="numpy")
-    _auto_matches_interp(m, "vshl", {"i": 4, "k": 3},
-                         "vector-shift-dynamic", vector_mode="numpy")
-    emitted = emit_module(m, TARGET, "unrolled")
-    assert "vshl" not in emitted.unsupported
-
-
-def test_i1_vector_numpy_only():
-    m = i1_vector_module()
-    reason = _unsupported(m, "mask", mode="numpy")
-    assert reason["construct"] == "i1-vector"
-    _compiled_raises(m, "mask", "i1-vector", args={"x": 5},
-                     vector_mode="numpy")
-    _auto_matches_interp(m, "mask", {"x": 5}, "i1-vector",
-                         vector_mode="numpy")
-    # the unrolled rendering handles mask arithmetic lane-wise, exactly
-    emitted = emit_module(m, TARGET, "unrolled")
-    assert "mask" not in emitted.unsupported
-
-
-def test_splat_mask_supported_in_numpy():
-    """Mask *plumbing* is not declined: a splat of an i1 condition (the
-    uniform select mask if-conversion emits) renders as a numpy bool
-    vector and agrees with the interpreter bit for bit."""
-    m = splat_mask_module()
-    emitted = emit_module(m, TARGET, "numpy")
-    assert "mask" not in emitted.unsupported, emitted.unsupported
-    for x in (-3, 0, 5):
-        mem_ref = MemoryImage(m)
-        expected = Interpreter(mem_ref, TARGET).run(
-            m.get_function("mask"), {"x": x}
-        )
-        executor = TieredExecutor(m, MemoryImage(m), TARGET,
-                                  backend="compiled",
-                                  vector_mode="numpy")
-        run = executor.run("mask", {"x": x})
-        assert run.tier == "compiled" and not run.fallback
-        assert run.result.return_value == expected.return_value
-        assert run.result.cycles == expected.cycles
-
-
-def test_i1_memory_numpy_only():
-    m = i1_memory_module()
-    reason = _unsupported(m, "cmpstore", mode="numpy")
-    assert reason["construct"] == "i1-memory"
-    _compiled_raises(m, "cmpstore", "i1-memory", args={"i": 0},
-                     vector_mode="numpy")
-    _auto_matches_interp(m, "cmpstore", {"i": 4}, "i1-memory",
-                         vector_mode="numpy")
-    # the unrolled rendering stores the lanes element-wise, exactly
-    emitted = emit_module(m, TARGET, "unrolled")
-    assert "cmpstore" not in emitted.unsupported
+@pytest.mark.parametrize("build, func_name, args", [
+    (vector_sdiv_module, "vdiv", {"i": 4}),
+    (dynamic_shift_module, "vshl", {"i": 4, "k": 3}),
+    (i1_vector_module, "mask", {"x": 5}),
+    (splat_mask_module, "mask", {"x": 5}),
+    (i1_memory_module, "cmpstore", {"i": 4}),
+], ids=["vector-sdiv", "dynamic-shift", "mask-and", "splat-mask",
+        "mask-store"])
+def test_vector_constructs_run_compiled_exactly(build, func_name, args):
+    """Vector division, dynamic shifts and i1 vectors (mask arithmetic,
+    splat masks, compare results stored to memory) render lane by lane
+    and agree with the interpreter bit for bit."""
+    m = build()
+    emitted = emit_module(m, TARGET)
+    assert func_name not in emitted.unsupported, emitted.unsupported
+    result = cross_check(m, m.get_function(func_name), TARGET,
+                         base_args=args, runs=3)
+    assert result.ok, result.render()
+    assert result.compiled_runs == result.runs == 3
 
 
 def test_callee_unsupported_propagates():
     m = caller_of_unsupported_module()
-    reason = _unsupported(m, "outer", mode="numpy")
+    reason = _unsupported(m, "outer")
     assert reason["construct"] == "callee-unsupported"
-    assert "vector-int-division" in reason["detail"]
-    _auto_matches_interp(m, "outer", {"i": 4}, "callee-unsupported",
-                         vector_mode="numpy")
+    assert "pointer-flow" in reason["detail"]
+    _compiled_raises(m, "outer", "callee-unsupported", args={"i": 3})
+    _auto_matches_interp(m, "outer", {"i": 12}, "callee-unsupported")
 
 
 def test_unknown_function():

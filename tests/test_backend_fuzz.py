@@ -3,9 +3,8 @@
 Reuses the kernel generator from :mod:`tests.test_property_differential`
 (random expression templates with per-lane commutative swaps — the
 paper's workload shape), vectorizes with LSLP, and requires the
-generated NumPy code to match the interpreter *exactly*: return value,
-final memory, cycles, retired count, and per-opcode tallies, in both
-vector rendering modes.
+generated Python code to match the interpreter *exactly*: return value,
+final memory, cycles, retired count, and per-opcode tallies.
 """
 
 from __future__ import annotations
@@ -30,21 +29,17 @@ ARRAYS = ["B", "C", "D", "E"]
 def test_compiled_matches_interpreter_vectorized(source, seed):
     module, func = build_kernel(source)
     compile_function(func, VectorizerConfig.lslp(), TARGET)
-    for mode in ("unrolled", "numpy"):
-        result = cross_check(
-            module, func, TARGET,
-            base_args={"i": 4, "k": seed % 97 - 48},
-            runs=2, base_seed=seed, vector_mode=mode,
-        )
-        assert result.ok, (
-            f"{mode} diverged: {result.render()}\n{source}"
-        )
+    result = cross_check(
+        module, func, TARGET,
+        base_args={"i": 4, "k": seed % 97 - 48},
+        runs=2, base_seed=seed,
+    )
+    assert result.ok, f"diverged: {result.render()}\n{source}"
 
 
 def test_unsigned_vector_lshr_regression():
-    """Found by the fuzz: numpy-mode lshr casts the operand to uint64,
-    but a vector-constant shift amount rendered as int64 has no safe
-    common type with it — numpy refuses uint64 >> int64."""
+    """Found by the fuzz: a vector lshr of unsigned lanes by a
+    vector-constant amount."""
     source = (
         "unsigned long A[64], B[64], C[64], D[64], E[64];\n"
         "void kernel(long i, long k) {\n"
@@ -54,11 +49,9 @@ def test_unsigned_vector_lshr_regression():
     )
     module, func = build_kernel(source)
     compile_function(func, VectorizerConfig.lslp(), TARGET)
-    for mode in ("unrolled", "numpy"):
-        result = cross_check(module, func, TARGET,
-                             base_args={"i": 4, "k": 0}, runs=2,
-                             vector_mode=mode)
-        assert result.ok, f"{mode}: {result.render()}"
+    result = cross_check(module, func, TARGET,
+                         base_args={"i": 4, "k": 0}, runs=2)
+    assert result.ok, result.render()
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +135,12 @@ def branchy_kernels(draw):
 def test_compiled_matches_interpreter_selects(source, seed):
     module, func = build_kernel(source)
     compile_function(func, VectorizerConfig.lslp(), TARGET)
-    for mode in ("unrolled", "numpy"):
-        result = cross_check(
-            module, func, TARGET,
-            base_args={"i": 4, "k": seed % 97 - 48},
-            runs=2, base_seed=seed, vector_mode=mode,
-        )
-        assert result.ok, f"{mode} diverged: {result.render()}\n{source}"
+    result = cross_check(
+        module, func, TARGET,
+        base_args={"i": 4, "k": seed % 97 - 48},
+        runs=2, base_seed=seed,
+    )
+    assert result.ok, f"diverged: {result.render()}\n{source}"
 
 
 @settings(max_examples=30, deadline=None)
@@ -158,19 +150,17 @@ def test_compiled_matches_interpreter_ifconverted(source, seed):
     module, func = build_kernel(source)
     config = replace(VectorizerConfig.lslp(), ifconvert="on")
     compile_function(func, config, TARGET)
-    for mode in ("unrolled", "numpy"):
-        result = cross_check(
-            module, func, TARGET,
-            base_args={"i": 4, "k": seed % 97 - 48},
-            runs=2, base_seed=seed, vector_mode=mode,
-        )
-        assert result.ok, f"{mode} diverged: {result.render()}\n{source}"
+    result = cross_check(
+        module, func, TARGET,
+        base_args={"i": 4, "k": seed % 97 - 48},
+        runs=2, base_seed=seed,
+    )
+    assert result.ok, f"diverged: {result.render()}\n{source}"
 
 
 def test_constant_select_mask_regression():
     """Found by the select fuzz: constfold turns a lane-invariant
-    ternary condition into a ``<N x i1>`` vector constant, which the
-    numpy emitter refused to render."""
+    ternary condition into a ``<N x i1>`` vector constant."""
     source = (
         "unsigned long A[64], B[64], C[64], D[64], E[64];\n"
         "void kernel(long i, long k) {\n"
@@ -180,17 +170,14 @@ def test_constant_select_mask_regression():
     )
     module, func = build_kernel(source)
     compile_function(func, VectorizerConfig.lslp(), TARGET)
-    for mode in ("unrolled", "numpy"):
-        result = cross_check(module, func, TARGET,
-                             base_args={"i": 4, "k": 0}, runs=2,
-                             vector_mode=mode)
-        assert result.ok, f"{mode}: {result.render()}"
+    result = cross_check(module, func, TARGET,
+                         base_args={"i": 4, "k": 0}, runs=2)
+    assert result.ok, result.render()
 
 
 def test_splat_select_mask_regression():
     """Found by the select fuzz: a uniform scalar condition (``k < 3``)
-    is splat to ``<N x i1>`` for the packed selects; the numpy emitter
-    needs to render it as a bool vector like a cmp result."""
+    is splat to ``<N x i1>`` for the packed selects."""
     source = (
         "unsigned long A[64], B[64], C[64], D[64], E[64];\n"
         "void kernel(long i, long k) {\n"
@@ -200,11 +187,9 @@ def test_splat_select_mask_regression():
     )
     module, func = build_kernel(source)
     compile_function(func, VectorizerConfig.lslp(), TARGET)
-    for mode in ("unrolled", "numpy"):
-        result = cross_check(module, func, TARGET,
-                             base_args={"i": 4, "k": 0}, runs=2,
-                             vector_mode=mode)
-        assert result.ok, f"{mode}: {result.render()}"
+    result = cross_check(module, func, TARGET,
+                         base_args={"i": 4, "k": 0}, runs=2)
+    assert result.ok, result.render()
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +237,12 @@ def test_compiled_matches_interpreter_loop_vectorized(data, seed):
     module, func = build_kernel(source)
     config = replace(VectorizerConfig.lslp(), loop_vectorize=True)
     compile_function(func, config, TARGET)
-    for mode in ("unrolled", "numpy"):
-        result = cross_check(
-            module, func, TARGET,
-            base_args={"n": bound},
-            runs=2, base_seed=seed, vector_mode=mode,
-        )
-        assert result.ok, f"{mode} diverged: {result.render()}\n{source}"
+    result = cross_check(
+        module, func, TARGET,
+        base_args={"n": bound},
+        runs=2, base_seed=seed,
+    )
+    assert result.ok, f"diverged: {result.render()}\n{source}"
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,8 +14,10 @@ from dataclasses import replace
 
 import pytest
 
+import repro.backend.emit as emit_mod
+import repro.backend.runtime as runtime_mod
 import repro.backend.validate as validate_mod
-from repro.backend import TieredExecutor
+from repro.backend import TieredExecutor, load_compiled
 from repro.costmodel.targets import skylake_like
 from repro.interp.differential import seeded_arg_sets
 from repro.ir import Call, F64, Function, I64, IRBuilder, Module, PointerType
@@ -33,6 +35,7 @@ from repro.service import (
     MemoryCache,
 )
 from repro.service.cache import CACHE_SCHEMA, StaleSchemaError
+from repro.service.jobs import JOB_BACKENDS
 from repro.service.resilience import (
     BACKEND_SHED_KINDS,
     ERROR_BACKEND_MISMATCH,
@@ -123,6 +126,50 @@ def test_backend_is_a_cache_key_ingredient():
     keys = {_job(backend=b).cache_key()
             for b in ("interp", "compiled", "auto")}
     assert len(keys) == 3
+
+
+def test_emit_version_keys_only_source_bearing_jobs(monkeypatch):
+    """Compiled and auto entries store generated source, which loads
+    only under the emitter version that wrote it; interp entries carry
+    none, so their keys survive an emitter change."""
+    before = {b: _job(backend=b).cache_key() for b in JOB_BACKENDS}
+    monkeypatch.setattr(emit_mod, "EMIT_VERSION", emit_mod.EMIT_VERSION + 1)
+    after = {b: _job(backend=b).cache_key() for b in JOB_BACKENDS}
+    assert after["interp"] == before["interp"]
+    assert after["compiled"] != before["compiled"]
+    assert after["auto"] != before["auto"]
+
+
+def test_entry_from_another_emitter_version_is_a_miss(tmp_path,
+                                                      monkeypatch):
+    """A disk entry written under another emitter version is never
+    served to a compiled job: it misses and recompiles to source this
+    runtime loads.  The interp job's entry stays a warm hit."""
+    current = emit_mod.EMIT_VERSION
+    compiled_job = _job(backend="compiled", verify_runs=1)
+    interp_job = _job(backend="interp")
+
+    def service():
+        return CompilationService(cache=CompileCache(
+            memory=MemoryCache(), disk=DiskCache(tmp_path)))
+
+    with monkeypatch.context() as patch:
+        for module in (emit_mod, runtime_mod):
+            patch.setattr(module, "EMIT_VERSION", current + 1)
+        old = service()
+        stale = old.compile_job(compiled_job)
+        assert stale.error == ""
+        assert f"'version': {current + 1}" in stale.entry.generated_source
+        assert old.compile_job(interp_job).error == ""
+
+    fresh_svc = service()
+    fresh = fresh_svc.compile_job(compiled_job)
+    assert fresh.error == "" and fresh.cache_tier == ""
+    assert fresh_svc.stats.vectorizer_invocations > 0
+    assert f"'version': {current}" in fresh.entry.generated_source
+    assert load_compiled(fresh.entry.generated_source).supports(
+        KERNEL.entry)
+    assert fresh_svc.compile_job(interp_job).cache_tier == "disk"
 
 
 def test_compiled_job_stores_generated_source():

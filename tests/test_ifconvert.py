@@ -386,11 +386,10 @@ class TestBranchyKernelsEndToEnd:
         config = replace(VectorizerConfig.lslp(), ifconvert="on")
         module, func = kernel.build()
         compile_function(func, config, TARGET)
-        for mode in ("unrolled", "numpy"):
-            outcome = cross_check(module, func, TARGET,
-                                  base_args=kernel.default_args,
-                                  runs=2, base_seed=7, vector_mode=mode)
-            assert outcome.ok, f"{mode}: {outcome.render()}"
+        outcome = cross_check(module, func, TARGET,
+                              base_args=kernel.default_args,
+                              runs=2, base_seed=7)
+        assert outcome.ok, outcome.render()
 
     def test_conversion_emits_converted_records(self):
         sink = ListSink()
