@@ -155,6 +155,18 @@ def _scalar_int_binop(op: str, x: str, y: str, bits: int,
     return f"_ib({op!r}, {x}, {y}, {bits})"
 
 
+def _scalar_float_binop(op: str, x: str, y: str) -> str:
+    """Render one float binop exactly like ``eval_float_binop``."""
+    direct = _FLOAT_DIRECT.get(op)
+    if direct is not None:
+        return f"({x}) {direct} ({y})"
+    if op == "fdiv":
+        return f"_fdiv({x}, {y})"
+    if op == "fmin":
+        return f"min({x}, {y})"
+    return f"max({x}, {y})"
+
+
 def _lane_shift_const(rhs: Value, index: int) -> Optional[int]:
     """Static per-lane shift amount of a vector shift, if known."""
     if isinstance(rhs, VectorConstant):
@@ -390,16 +402,7 @@ class _FunctionEmitter:
                 op, self.ref(lhs), self.ref(rhs), kind[1], rhs_const
             )
         elif kind[0] == "f":
-            direct = _FLOAT_DIRECT.get(op)
-            x, y = self.ref(lhs), self.ref(rhs)
-            if direct is not None:
-                expr = f"({x}) {direct} ({y})"
-            elif op == "fdiv":
-                expr = f"_fdiv({x}, {y})"
-            elif op == "fmin":
-                expr = f"min({x}, {y})"
-            else:
-                expr = f"max({x}, {y})"
+            expr = _scalar_float_binop(op, self.ref(lhs), self.ref(rhs))
         else:
             count = kind[2] if kind[0] == "iv" else kind[1]
             if kind[0] == "iv":
@@ -412,18 +415,11 @@ class _FunctionEmitter:
                     for i in range(count)
                 ]
             else:
-                lanes = []
-                for i in range(count):
-                    x, y = self.lane(lhs, i), self.lane(rhs, i)
-                    direct = _FLOAT_DIRECT.get(op)
-                    if direct is not None:
-                        lanes.append(f"({x}) {direct} ({y})")
-                    elif op == "fdiv":
-                        lanes.append(f"_fdiv({x}, {y})")
-                    elif op == "fmin":
-                        lanes.append(f"min({x}, {y})")
-                    else:
-                        lanes.append(f"max({x}, {y})")
+                lanes = [
+                    _scalar_float_binop(op, self.lane(lhs, i),
+                                        self.lane(rhs, i))
+                    for i in range(count)
+                ]
             expr = "(" + ", ".join(lanes) + ",)"
         self.line(f"{name} = {expr}")
 
@@ -655,7 +651,7 @@ class _FunctionEmitter:
         self.indent -= 1
 
     def _emit_terminator(self, inst, local_index: int,
-                         block_index: dict, single: bool) -> None:
+                         block_index: dict) -> None:
         if isinstance(inst, Ret):
             if inst.return_value is None:
                 self.line("return (None, _n)")
@@ -682,7 +678,7 @@ class _FunctionEmitter:
         )
 
     def _emit_block(self, block, local_index: int,
-                    block_index: dict, single: bool) -> None:
+                    block_index: dict) -> None:
         target = self.me.target
         instructions = block.instructions
         phis = block.phis()
@@ -724,8 +720,7 @@ class _FunctionEmitter:
             pending = 0
             for inst in segment:
                 if inst is body[-1] and inst.is_terminator:
-                    self._emit_terminator(inst, local_index,
-                                          block_index, single)
+                    self._emit_terminator(inst, local_index, block_index)
                 else:
                     self._emit_nonterm(inst)
         if pending:
@@ -750,7 +745,7 @@ class _FunctionEmitter:
         body_lines = self.lines
         self.lines = []
         if single:
-            self._emit_block(blocks[0], 0, block_index, single=True)
+            self._emit_block(blocks[0], 0, block_index)
         else:
             self.line("_blk = 0")
             self.line("_prev = -1")
@@ -760,7 +755,7 @@ class _FunctionEmitter:
                 keyword = "if" if i == 0 else "elif"
                 self.line(f"{keyword} _blk == {i}:")
                 self.indent += 1
-                self._emit_block(block, i, block_index, single=False)
+                self._emit_block(block, i, block_index)
                 self.indent -= 1
             self.indent -= 1
         code = self.lines

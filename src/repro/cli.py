@@ -29,8 +29,8 @@ from .ir.printer import print_function, print_module
 from .kernels.catalog import ALL_KERNELS
 from .obs.tracing import span
 from .opt.ifconvert import IFCONVERT_MODES
-from .opt.pipelines import compile_function
-from .robustness.budget import Budget, ModuleMeter
+from .opt.pipelines import compile_function, compile_module
+from .robustness.budget import Budget
 from .robustness.diagnostics import CompilerError, Remark, Severity
 from .robustness.guard import DifferentialOracle, GuardPolicy
 from .slp.vectorizer import PLAN_SELECT_MODES, VectorizerConfig
@@ -371,13 +371,10 @@ def cmd_compile(args) -> int:
     if args.print_before:
         print("; --- before ---")
         print(print_module(module))
-    module_meter = None
-    if config.budget is not None and config.budget.has_module_caps:
-        module_meter = ModuleMeter(config.budget)
-    for func in module.functions.values():
-        result = compile_function(func, config, target,
-                                  verify_each=args.verify_each,
-                                  guard=guard, module_meter=module_meter)
+    results = compile_module(module, config, target, guard=guard,
+                             verify_each=args.verify_each)
+    for result in results:
+        func = result.function
         _print_remarks(config_remarks + result.remarks, args.remarks)
         config_remarks = []
         if result.rolled_back:

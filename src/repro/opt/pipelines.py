@@ -1,16 +1,15 @@
 """Compilation pipelines: "O3" and the vectorizing configurations.
 
-``compile_function`` mirrors the paper's experimental setup (§5.1): every
+``compile_module`` mirrors the paper's experimental setup (§5.1): every
 configuration runs the same scalar passes (the "O3" stand-in); the
 vectorizing configurations additionally run the (L)SLP pass followed by a
 cleanup DCE that removes the scalar address arithmetic the vectorizer
-leaves dead.
+leaves dead.  ``compile_function`` is the same loop over one function.
 
-``compile_function`` is also the guarded driver's entry point: pass
-``guard="guarded"`` (or a :class:`~repro.robustness.GuardPolicy`) for
-per-pass snapshot/rollback, ``oracle=`` a
-:class:`~repro.robustness.DifferentialOracle` for scalar-vs-vectorized
-execution checking, and ``faults=`` a
+It is also the one guarded compile loop: pass ``guard="guarded"`` (or a
+:class:`~repro.robustness.GuardPolicy`) for per-pass snapshot/rollback,
+``oracle=``/``oracles=`` a :class:`~repro.robustness.DifferentialOracle`
+for scalar-vs-vectorized execution checking, and ``faults=`` a
 :class:`~repro.robustness.FaultInjector` to instrument the pipeline for
 recovery testing.  Without those arguments the behaviour is exactly the
 historical fail-fast one.
@@ -30,9 +29,7 @@ from ..robustness.diagnostics import Remark
 from ..robustness.faults import FaultInjector
 from ..robustness.guard import DifferentialOracle, GuardPolicy, PassGuard
 from ..slp.vectorizer import (
-    MODULE_SELECT_MODES,
     ModuleVectorizationDriver,
-    SLPVectorizer,
     VectorizationReport,
     VectorizerConfig,
 )
@@ -46,7 +43,7 @@ from .passmanager import PassManager, PipelineResult
 from .simplifycfg import run_simplifycfg
 from .unroll import run_unroll
 
-#: accepted values for ``compile_function``'s ``guard`` argument
+#: accepted values for the ``guard`` argument
 GuardSpec = Union[None, str, GuardPolicy]
 
 
@@ -82,20 +79,16 @@ class CompileResult:
 
 
 class _VectorizePass:
-    """Adapter so the SLP vectorizer can sit in a PassManager and still
-    surface its report.  ``module_meter`` (when given) shares one
-    module-scope budget across every function compiled through this
-    pipeline instance — the whole-compile admission unit batch jobs
-    use."""
+    """Adapter so the SLP driver can sit in a PassManager and still
+    surface its report: the "slp" pass applies a function's share of
+    the driver's plans."""
 
-    def __init__(self, config: VectorizerConfig, target: TargetCostModel,
-                 module_meter: Optional[ModuleMeter] = None):
-        self.vectorizer = SLPVectorizer(config, target)
-        self.module_meter = module_meter
+    def __init__(self, driver: ModuleVectorizationDriver):
+        self.driver = driver
         self.report: Optional[VectorizationReport] = None
 
     def __call__(self, func: Function) -> bool:
-        report = self.vectorizer.run_function(func, self.module_meter)
+        report = self.driver.apply_function(func)
         if self.report is None:
             self.report = report
         else:
@@ -176,23 +169,35 @@ def build_pipeline(config: VectorizerConfig,
                    faults: Optional[FaultInjector] = None,
                    module_meter: Optional[ModuleMeter] = None,
                    ) -> tuple[PassManager, _VectorizePass | None]:
-    """A pipeline for ``config``; also returns the report-capturing
-    vectorizer pass (None for O3)."""
+    """A one-manager pipeline for ``config``; also returns the
+    report-capturing vectorizer pass (None for O3)."""
     target = target if target is not None else skylake_like()
     if faults is not None:
         target = faults.perturb_cost_model(target)
-    manager = scalar_pipeline(verify_each=verify_each, guard=guard,
-                              ifconvert=config.ifconvert, target=target,
-                              unroll_max_trip=config.unroll_max_trip,
-                              loop_vectorize=config.loop_vectorize)
+    manager = _scalar_passes(config, target, verify_each, guard)
     vectorize = None
     if config.enabled:
-        vectorize = _VectorizePass(config, target, module_meter)
-        manager.add("slp", vectorize)
-        manager.add("dce-post", run_dce)
+        driver = ModuleVectorizationDriver(config, target, module_meter)
+        vectorize = _vector_passes(manager, driver)
     if faults is not None:
         faults.instrument(manager)
     return manager, vectorize
+
+
+def _scalar_passes(config: VectorizerConfig, target: TargetCostModel,
+                   verify_each: bool, guard) -> PassManager:
+    return scalar_pipeline(verify_each=verify_each, guard=guard,
+                           ifconvert=config.ifconvert, target=target,
+                           unroll_max_trip=config.unroll_max_trip,
+                           loop_vectorize=config.loop_vectorize)
+
+
+def _vector_passes(manager: PassManager,
+                   driver: ModuleVectorizationDriver) -> _VectorizePass:
+    vectorize = _VectorizePass(driver)
+    manager.add("slp", vectorize)
+    manager.add("dce-post", run_dce)
+    return vectorize
 
 
 def _resolve_guard(guard: GuardSpec,
@@ -229,36 +234,10 @@ def compile_function(func: Function, config: VectorizerConfig,
                      module_meter: Optional[ModuleMeter] = None
                      ) -> CompileResult:
     """Run the full pipeline for ``config`` over ``func`` in place."""
-    policy = _resolve_guard(guard, oracle)
-    pass_guard = PassGuard(policy) if policy is not None else None
-    manager, vectorize = build_pipeline(
-        config, target, verify_each=verify_each, guard=pass_guard,
-        faults=faults, module_meter=module_meter,
-    )
-    with span("compile.function", function=func.name,
-              config=config.name):
-        timing = manager.run_function(func)
-        result = CompileResult(
-            func, config, timing,
-            report=VectorizationReport(func.name, config.name),
-        )
-        if vectorize is not None and vectorize.report is not None:
-            result.report = vectorize.report
-        if pass_guard is not None:
-            try:
-                if pass_guard.policy.oracle is not None:
-                    with span("oracle.verify", function=func.name):
-                        pass_guard.run_oracle(func)
-                else:
-                    pass_guard.run_oracle(func)
-            finally:
-                pass_guard.finish()
-            result.remarks = pass_guard.diagnostics.remarks
-            result.rolled_back = pass_guard.rolled_back
-    result.remarks.extend(getattr(manager, "unroll_remarks", []))
-    result.remarks.extend(getattr(manager, "ifconvert_remarks", []))
-    result.remarks.extend(result.report.remarks)
-    return result
+    return _compile(
+        [func], config, target, verify_each, guard, faults, module_meter,
+        oracles=(lambda _: oracle) if oracle is not None else None,
+    )[0]
 
 
 def compile_module(module: Module, config: VectorizerConfig,
@@ -268,145 +247,114 @@ def compile_module(module: Module, config: VectorizerConfig,
                    module_meter: Optional[ModuleMeter] = None,
                    oracles: Optional[
                        Callable[[Function], Optional[DifferentialOracle]]
-                   ] = None
+                   ] = None,
+                   verify_each: bool = False,
                    ) -> list[CompileResult]:
     """Compile every function of ``module`` under ``config``.
 
     All functions share one module-scope budget meter when the config's
-    budget carries module caps — the whole-compile budget the ROADMAP
-    calls for, and the service's per-job admission unit.  The module-*
-    plan-select modes take the two-phase driver
-    (:func:`compile_module_planned`); ``oracles`` optionally maps each
+    budget carries module caps — the whole-compile budget, and the
+    service's per-job admission unit.  ``oracles`` optionally maps each
     function to its differential oracle."""
-    if (module_meter is None and config.budget is not None
-            and config.budget.has_module_caps):
-        module_meter = ModuleMeter(config.budget)
-    if config.enabled and config.plan_select in MODULE_SELECT_MODES:
-        return compile_module_planned(
-            module, config, target, guard=guard, faults=faults,
-            module_meter=module_meter, oracles=oracles,
-        )
-    return [
-        compile_function(func, config, target, guard=guard, faults=faults,
-                         module_meter=module_meter,
-                         oracle=oracles(func) if oracles else None)
-        for func in module.functions.values()
-    ]
+    return _compile(list(module.functions.values()), config, target,
+                    verify_each, guard, faults, module_meter, oracles)
 
 
-class _ApplyModulePass:
-    """Adapter running one function's module-scope apply phase inside a
-    PassManager, so the pass guard's snapshot/rollback (and its oracle
-    reference capture on the "slp" pass) cover it exactly like the
-    per-block vectorizer pass."""
+def _compile(funcs: list[Function], config: VectorizerConfig,
+             target: Optional[TargetCostModel], verify_each: bool,
+             guard: GuardSpec, faults: Optional[FaultInjector],
+             module_meter: Optional[ModuleMeter],
+             oracles: Optional[
+                 Callable[[Function], Optional[DifferentialOracle]]
+             ]) -> list[CompileResult]:
+    """The one guarded compile loop.
 
-    def __init__(self, driver: ModuleVectorizationDriver):
-        self.driver = driver
-        self.report: Optional[VectorizationReport] = None
-
-    def __call__(self, func: Function) -> bool:
-        self.report = self.driver.apply_function(func)
-        return self.report.num_vectorized > 0
-
-
-def compile_module_planned(module: Module, config: VectorizerConfig,
-                           target: Optional[TargetCostModel] = None,
-                           guard: GuardSpec = None,
-                           faults: Optional[FaultInjector] = None,
-                           module_meter: Optional[ModuleMeter] = None,
-                           oracles: Optional[
-                               Callable[[Function],
-                                        Optional[DifferentialOracle]]
-                           ] = None
-                           ) -> list[CompileResult]:
-    """The two-phase guarded compile for the module-* plan-select modes.
-
-    Phase 1 runs the scalar "O3" pipeline over *every* function, then
-    plans each one read-only, pooling candidates module-wide.  Phase 2
-    is one module-scope selection spending the shared
-    ``max_select_subsets`` budget where projected savings are largest.
-    Phase 3 applies each function's share of the verdicts inside the
-    same per-function :class:`PassGuard` that guarded its scalar passes,
-    so rollback and the differential oracle behave exactly as in
-    :func:`compile_function` — the oracle's "pre-slp" reference is
-    captured when the apply pass starts, i.e. after scalar optimization
-    but before any vector code exists.
+    Each function runs the scalar "O3" passes under its own
+    :class:`PassGuard`.  Under block scope (``legacy``,
+    ``greedy-savings``, ``exhaustive``) it then runs ``slp``,
+    ``dce-post`` and the oracle before the next function starts,
+    because a later function may inline an earlier one.  Under module
+    scope (``module-*``) each function is planned right after its
+    scalar passes; one selection then spends the shared
+    ``max_select_subsets`` budget where projected savings are largest,
+    and each function's share is applied under the same guard that
+    covered its scalar passes.  Either way the oracle's "pre-slp"
+    reference is captured when ``slp`` starts, after scalar
+    optimization but before any vector code exists.
     """
     target = target if target is not None else skylake_like()
     if faults is not None:
         target = faults.perturb_cost_model(target)
-    if (module_meter is None and config.budget is not None
-            and config.budget.has_module_caps):
-        module_meter = ModuleMeter(config.budget)
-    driver = ModuleVectorizationDriver(config, target, module_meter)
-
-    # Phase 1: scalar passes, then read-only planning, per function.
-    staged: list[tuple[Function, PipelineResult,
-                       Optional[PassGuard], list[Remark]]] = []
-    for func in module.functions.values():
+    driver = (ModuleVectorizationDriver(config, target, module_meter)
+              if config.enabled else None)
+    plan_ahead = driver is not None and driver.module_scope
+    results: list[CompileResult] = []
+    staged = []
+    for func in funcs:
         policy = _resolve_guard(
             guard, oracles(func) if oracles is not None else None
         )
         pass_guard = PassGuard(policy) if policy is not None else None
-        manager = scalar_pipeline(guard=pass_guard,
-                                  ifconvert=config.ifconvert, target=target,
-                                  unroll_max_trip=config.unroll_max_trip,
-                                  loop_vectorize=config.loop_vectorize)
+        manager = _scalar_passes(config, target, verify_each, pass_guard)
         if faults is not None:
             faults.instrument(manager)
         with span("compile.scalar", function=func.name,
                   config=config.name):
             timing = manager.run_function(func)
-        driver.plan_function(func)
-        scalar_remarks = list(getattr(manager, "unroll_remarks", []))
-        scalar_remarks.extend(getattr(manager, "ifconvert_remarks", []))
-        staged.append((func, timing, pass_guard, scalar_remarks))
+        stage = (func, timing, pass_guard, manager)
+        if plan_ahead:
+            driver.plan_function(func)
+            staged.append(stage)
+        else:
+            results.append(_finish(stage, config, driver, faults,
+                                   verify_each))
+    if plan_ahead:
+        driver.select()
+        results.extend(_finish(stage, config, driver, faults, verify_each)
+                       for stage in staged)
+    return results
 
-    # Phase 2: one module-wide selection over the pooled candidates.
-    driver.select()
 
-    # Phase 3: materialize per function, guarded, in planning order.
-    results: list[CompileResult] = []
-    for func, timing, pass_guard, ifc_remarks in staged:
-        vectorize = _ApplyModulePass(driver)
-        manager = (
-            PassManager(guard=pass_guard)
-            .add("slp", vectorize)
-            .add("dce-post", run_dce)
-        )
-        if faults is not None:
-            faults.instrument(manager)
-        with span("compile.function", function=func.name,
-                  config=config.name):
+def _finish(stage, config: VectorizerConfig,
+            driver: Optional[ModuleVectorizationDriver],
+            faults: Optional[FaultInjector],
+            verify_each: bool) -> CompileResult:
+    """``slp`` and ``dce-post`` under the function's guard, then its
+    oracle."""
+    func, timing, pass_guard, scalar = stage
+    result = CompileResult(
+        func, config, timing,
+        report=VectorizationReport(func.name, config.name),
+    )
+    with span("compile.function", function=func.name,
+              config=config.name):
+        if driver is not None:
+            manager = PassManager(verify_each=verify_each, guard=pass_guard)
+            vectorize = _vector_passes(manager, driver)
+            if faults is not None:
+                faults.instrument(manager)
             manager.run_function(func, result=timing)
-            result = CompileResult(
-                func, config, timing,
-                report=VectorizationReport(func.name, config.name),
-            )
             if vectorize.report is not None:
                 result.report = vectorize.report
-            if pass_guard is not None:
-                try:
-                    if pass_guard.policy.oracle is not None:
-                        with span("oracle.verify", function=func.name):
-                            pass_guard.run_oracle(func)
-                    else:
+        if pass_guard is not None:
+            try:
+                if pass_guard.policy.oracle is not None:
+                    with span("oracle.verify", function=func.name):
                         pass_guard.run_oracle(func)
-                finally:
-                    pass_guard.finish()
-                result.remarks = pass_guard.diagnostics.remarks
-                result.rolled_back = pass_guard.rolled_back
-        result.remarks.extend(ifc_remarks)
-        result.remarks.extend(result.report.remarks)
-        results.append(result)
-    return results
+            finally:
+                pass_guard.finish()
+            result.remarks = pass_guard.diagnostics.remarks
+            result.rolled_back = pass_guard.rolled_back
+    result.remarks.extend(scalar.unroll_remarks)
+    result.remarks.extend(getattr(scalar, "ifconvert_remarks", []))
+    result.remarks.extend(result.report.remarks)
+    return result
 
 
 __all__ = [
     "build_pipeline",
     "compile_function",
     "compile_module",
-    "compile_module_planned",
     "CompileResult",
     "GuardSpec",
     "scalar_pipeline",

@@ -384,8 +384,7 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
     # Imported here (not module top) to keep worker start cheap when the
     # pool uses the spawn start method.
     from ..obs import records as _records
-    from ..opt.pipelines import compile_function, compile_module_planned
-    from ..slp.vectorizer import MODULE_SELECT_MODES
+    from ..opt.pipelines import compile_module
 
     module = _load_module(job)
     target = TargetCostModel(job.target_desc)
@@ -402,9 +401,14 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
     # Each function's oracle keeps its verified runs for the backend
     # cross-check; they live as long as this job does.
     oracles: dict[str, Optional[DifferentialOracle]] = {}
+    # per function, the remark saying why its oracle was skipped
+    oracle_remarks: dict[str, list[dict[str, Any]]] = {}
 
     def oracle_for(func) -> Optional[DifferentialOracle]:
-        oracles[func.name] = _oracle_for(job, module, func, target, remarks)
+        oracles[func.name] = _oracle_for(
+            job, module, func, target,
+            oracle_remarks.setdefault(func.name, []),
+        )
         return oracles[func.name]
 
     rolled_back: list[str] = []
@@ -420,45 +424,23 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
         _records.set_plan_sink(captured) if job.capture_plans else None
     )
     try:
-        if (config.enabled
-                and config.plan_select in MODULE_SELECT_MODES):
-            with span("job.compile", job=job.name, config=config.name):
-                results = compile_module_planned(
-                    module, config, target, guard=guard,
-                    module_meter=module_meter, oracles=oracle_for,
-                )
-            for result in results:
-                merged.merge(result.report)
-                remarks.extend(
-                    remark_to_dict(r) for r in result.remarks
-                )
-                rolled_back.extend(
-                    f"{result.function.name}:{name}"
-                    for name in result.rolled_back
-                )
-                compile_seconds += result.compile_seconds
-                static_cost += result.static_cost
-        else:
-            for func in module.functions.values():
-                oracle = oracle_for(func)
-                with span("job.compile", job=job.name,
-                          function=func.name, config=config.name):
-                    result = compile_function(
-                        func, config, target, guard=guard, oracle=oracle,
-                        module_meter=module_meter,
-                    )
-                merged.merge(result.report)
-                remarks.extend(
-                    remark_to_dict(r) for r in result.remarks
-                )
-                rolled_back.extend(
-                    f"{func.name}:{name}" for name in result.rolled_back
-                )
-                compile_seconds += result.compile_seconds
-                static_cost += result.static_cost
+        with span("job.compile", job=job.name, config=config.name):
+            results = compile_module(
+                module, config, target, guard=guard,
+                module_meter=module_meter, oracles=oracle_for,
+            )
     finally:
         if job.capture_plans:
             _records.set_plan_sink(previous_sink)
+    for result in results:
+        name = result.function.name
+        merged.merge(result.report)
+        remarks.extend(oracle_remarks.get(name, ()))
+        remarks.extend(remark_to_dict(r) for r in result.remarks)
+        rolled_back.extend(f"{name}:{pass_name}"
+                           for pass_name in result.rolled_back)
+        compile_seconds += result.compile_seconds
+        static_cost += result.static_cost
 
     entry_backend, generated_source = _backend_stage(
         job, module, target, remarks, oracles

@@ -9,13 +9,14 @@ this module performs that inversion in three layers:
 
 * :class:`Planner` enumerates immutable :class:`TreePlan` candidates per
   block — the full-width seed *and* both halves eagerly (recursively,
-  down to VL2), plus reduction plans and, optionally, the same seed
-  under alternative build policies — without touching the IR.
+  down to VL2), plus reduction plans — without touching the IR.
 * :class:`Selector` resolves conflicts between plans that claim the same
   stores/instructions and picks the subset with the best total cost.
   The default ``legacy`` mode defers entirely to the applier's greedy
-  first-fit (reproducing the historical pipeline byte-for-byte);
-  ``greedy-savings`` and ``exhaustive`` are opt-in and budget-metered.
+  first-fit (reproducing the historical pipeline byte-for-byte); the
+  other modes are opt-in and budget-metered, each a strategy (greedy,
+  or greedy plus a subset search) over a scope (one block, or every
+  block of the module).
 * :class:`Applier` materializes the chosen plans through
   :class:`~repro.slp.codegen.VectorCodeGen` in deterministic order,
   rebuilding and re-checking each tree at apply time (an earlier
@@ -47,7 +48,7 @@ from ..obs import records as _records
 from ..obs.tracing import span
 from ..robustness.budget import BudgetMeter
 from ..robustness.diagnostics import Remark, Severity
-from .builder import BuildPolicy, BuildStats, GraphBuilder
+from .builder import BuildStats, GraphBuilder
 from .codegen import VectorCodeGen
 from .cost import GraphCost, compute_graph_cost
 from .graph import SLPGraph
@@ -56,8 +57,8 @@ from .pressure import estimate_registers, register_excess
 from .seeds import SeedGroup, collect_reduction_seeds
 
 #: module-scope selection modes: candidates from every block of every
-#: function are pooled into a :class:`ModulePlan` and one shared
-#: selection budget is spent where the projected savings are largest
+#: function are pooled into one selection, and one shared selection
+#: budget is spent where the projected savings are largest
 MODULE_SELECT_MODES: tuple[str, ...] = (
     "module-greedy", "module-exhaustive",
 )
@@ -66,18 +67,6 @@ MODULE_SELECT_MODES: tuple[str, ...] = (
 PLAN_SELECT_MODES: tuple[str, ...] = (
     "legacy", "greedy-savings", "exhaustive",
 ) + MODULE_SELECT_MODES
-
-#: named build-policy overrides the planner can enumerate per seed
-#: (``VectorizerConfig.plan_policy_variants``); informational candidates
-#: that are never applied
-POLICY_VARIANTS: dict[str, dict] = {
-    "slp-nr": dict(enable_reordering=False, look_ahead_depth=0,
-                   multi_node_max_size=1),
-    "slp": dict(enable_reordering=True, look_ahead_depth=0,
-                multi_node_max_size=1),
-    "lslp": dict(enable_reordering=True, look_ahead_depth=8,
-                 multi_node_max_size=None),
-}
 
 #: subsets the exhaustive selector may visit when no explicit
 #: ``Budget.max_select_subsets`` cap is set
@@ -120,9 +109,6 @@ class TreePlan:
     #: ``plan_id`` this is the plan's stable module-wide identity
     function: str = ""
     block: str = ""
-    #: build policy: "default" (the config's own) or a
-    #: :data:`POLICY_VARIANTS` name
-    policy: str = "default"
     #: plan id of the full-width plan this half descends from
     parent_id: Optional[int] = None
     schedulable: bool = False
@@ -162,7 +148,6 @@ class TreePlan:
             "function": self.function,
             "block": self.block,
             "vector_length": self.vector_length,
-            "policy": self.policy,
             "parent_id": self.parent_id,
             "schedulable": self.schedulable,
             "reason": self.reason,
@@ -238,12 +223,9 @@ class BlockPlan:
     """Every candidate the planner enumerated for one block."""
 
     block: str
-    #: owning function (module-scope selection keys blocks by
-    #: ``(function, block)``)
-    function: str = ""
     #: plan id → plan, in enumeration (pre-)order
     plans: dict[int, TreePlan] = field(default_factory=dict)
-    #: plan ids of the top-level (full-width, default-policy) store plans
+    #: plan ids of the top-level (full-width) store plans
     roots: list[int] = field(default_factory=list)
     #: plan ids of the reduction plans
     reductions: list[int] = field(default_factory=list)
@@ -300,7 +282,7 @@ class Planner:
     def plan_block(self, block: BasicBlock, seeds: list[SeedGroup],
                    ctx: LookAheadContext, aa: AliasAnalysis,
                    meter: BudgetMeter) -> BlockPlan:
-        block_plan = BlockPlan(block=block.name, function=self.function)
+        block_plan = BlockPlan(block=block.name)
         # Stable per-block instruction positions: the serialized claim
         # keys ("block#index") survive process boundaries, unlike the
         # id()-based conflict sets.
@@ -317,11 +299,6 @@ class Planner:
                     block_plan, block, seed, ctx, aa, meter, parent=None
                 )
                 block_plan.roots.append(root_id)
-                for policy in self.config.plan_policy_variants:
-                    if meter.time_exceeded():
-                        break
-                    self._plan_store(block_plan, block, seed, ctx, aa,
-                                     meter, parent=None, policy=policy)
             if self.config.enable_reductions:
                 for seed in collect_reduction_seeds(block):
                     if not seed.alive():
@@ -343,7 +320,7 @@ class Planner:
         only on rejection, unlike the legacy width descent — so the
         selector can weigh half-plans against an accepted full plan."""
         plan = self._plan_store(block_plan, block, seed, ctx, aa, meter,
-                                parent=parent, policy="default")
+                                parent=parent)
         if seed.vector_length >= 4 and not meter.time_exceeded():
             half = seed.vector_length // 2
             left = self._plan_store_family(
@@ -360,10 +337,10 @@ class Planner:
     def _plan_store(self, block_plan: BlockPlan, block: BasicBlock,
                     seed: SeedGroup, ctx: LookAheadContext,
                     aa: AliasAnalysis, meter: BudgetMeter,
-                    parent: Optional[int], policy: str) -> TreePlan:
-        builder = GraphBuilder(self._policy(policy, meter), self.target,
+                    parent: Optional[int]) -> TreePlan:
+        builder = GraphBuilder(self.config.build_policy(meter), self.target,
                                ctx)
-        with span("slp.plan_graph", vl=seed.vector_length, policy=policy):
+        with span("slp.plan_graph", vl=seed.vector_length):
             graph = builder.build(seed.stores)
         cost = compute_graph_cost(graph, self.target)
         if graph.root is None or graph.root.is_gather:
@@ -382,7 +359,6 @@ class Planner:
             plan_id=next(self.ids),
             function=self.function,
             block=block.name,
-            policy=policy,
             parent_id=parent,
             schedulable=schedulable,
             reason=reason,
@@ -444,20 +420,6 @@ class Planner:
             _metrics.add("pressure.excess_registers", excess)
         return pressure, excess
 
-    def _policy(self, name: str, meter: BudgetMeter) -> BuildPolicy:
-        if name == "default":
-            return self.config.build_policy(meter)
-        overrides = POLICY_VARIANTS[name]
-        return BuildPolicy(
-            enable_reordering=overrides["enable_reordering"],
-            look_ahead_depth=overrides["look_ahead_depth"],
-            multi_node_max_size=overrides["multi_node_max_size"],
-            score_function=self.config.score_function,
-            reorder_strategy=self.config.reorder_strategy,
-            enable_splat_detection=self.config.enable_splat_detection,
-            meter=meter,
-        )
-
 
 def _emit_plan_record(plan: TreePlan) -> None:
     if _records.active_sink() is None:
@@ -470,7 +432,6 @@ def _emit_plan_record(plan: TreePlan) -> None:
         vector_length=plan.vector_length,
         cost=plan.total_cost,
         schedulable=plan.schedulable,
-        policy=plan.policy,
         parent_id=plan.parent_id,
         reason=plan.reason,
     )
@@ -482,34 +443,57 @@ def _emit_plan_record(plan: TreePlan) -> None:
 
 
 class Selector:
-    """Picks a non-conflicting subset of the block's candidates.
+    """Picks a non-conflicting subset of candidates for a group of blocks.
 
-    ``legacy`` never reaches here (the vectorizer skips selection and
-    lets the applier's greedy first-fit decide).  The other modes pick
-    among default-policy store plans only — policy variants are
-    informational, and reductions are still handled by the applier's
-    legacy loop because their seeds are collected on post-store IR.
+    ``legacy`` never selects (the applier's greedy first-fit decides).
+    Every other mode is a strategy over a scope:
 
-    A mode's pick replaces the legacy shape only when its plan-time
-    total is *strictly* better than the simulated first-fit total;
-    otherwise the first-fit subset is kept, so selection can only
-    deviate when the savings model says it wins.
+    =====================  ===========================  ======
+    mode                   strategy                     scope
+    =====================  ===========================  ======
+    ``greedy-savings``     greedy                       block
+    ``exhaustive``         greedy, then subset search   block
+    ``module-greedy``      greedy                       module
+    ``module-exhaustive``  greedy, then subset search   module
+    =====================  ===========================  ======
+
+    :meth:`select` takes one group of ``(function, block_plan)`` pairs:
+    a single block under block scope, every block of every function
+    under module scope.  The greedy pass takes the group's eligible
+    store plans in one best-savings-first order, each charging one unit
+    of the selection budget, so under module scope a tight shared
+    ``Budget.max_select_subsets`` is spent on the highest projected
+    savings anywhere in the module (goSLP's global packing), where block
+    scope spends it on whichever block comes first.  The subset search
+    then refines one block at a time, most promising first, charged to
+    the same meter.  Reductions stay with the applier's loop, because
+    their seeds are collected on post-store IR.
+
+    Per block, a pick replaces the legacy-shaped first-fit subset only
+    when its total is *strictly* better, so with an unlimited budget
+    both scopes pick the same.  Two scope rules differ, and the
+    module-select ablation pins both:
+
+    * when the budget runs dry mid-greedy, block scope keeps the block's
+      first-fit shape; module scope compares its partial picks against
+      first-fit;
+    * block scope's subset search charges one visit even for a block
+      with no eligible plan; module scope skips such blocks and stops
+      searching once the shared budget is gone.
     """
 
     def __init__(self, config):
-        if config.plan_select not in PLAN_SELECT_MODES:
-            raise ValueError(
-                f"unknown plan-select mode {config.plan_select!r}; "
-                f"use one of {', '.join(PLAN_SELECT_MODES)}"
-            )
         self.mode = config.plan_select
+        self.module_scope = self.mode in MODULE_SELECT_MODES
+        self.exhaustive = self.mode in ("exhaustive", "module-exhaustive")
         self.threshold = config.cost_threshold
         self.weight = config.reg_pressure_weight
 
-    def select(self, block_plan: BlockPlan,
-               meter: BudgetMeter) -> Selection:
-        with span("slp.select", mode=self.mode, block=block_plan.block):
-            return self._select(block_plan, meter)
+    def select(self, group: list[tuple[str, BlockPlan]], meter: BudgetMeter
+               ) -> list[Selection]:
+        """One verdict per block, in group order."""
+        with span("slp.select", mode=self.mode, blocks=len(group)):
+            return self._select(group, meter)
 
     # ------------------------------------------------------------------
 
@@ -519,50 +503,127 @@ class Selector:
     def _cost(self, plan: TreePlan) -> int:
         return plan.selection_cost(self.weight)
 
-    def _select(self, block_plan: BlockPlan,
-                meter: BudgetMeter) -> Selection:
-        candidates = [
-            plan for _, plan in sorted(block_plan.plans.items())
-            if plan.kind == "store" and plan.policy == "default"
-            and self._acceptable(plan)
-        ]
-        _metrics.add("plan.select_candidates", len(candidates))
-        eligible, pressure_rejected = split_by_pressure(
-            candidates, self.weight, self.threshold
-        )
-        first_fit = self._first_fit(block_plan)
-        ff_total = sum(self._cost(plan) for plan in first_fit)
-        chosen = greedy_subset(eligible, self._cost, meter)
-        if chosen is not None and self.mode == "exhaustive":
-            chosen = exhaustive_subsets(
-                eligible, meter, chosen, self._cost,
-                _default_limit_state(meter),
+    def _select(self, group: list[tuple[str, BlockPlan]],
+                meter: BudgetMeter) -> list[Selection]:
+        entries: list[_Entry] = []
+        for _, block_plan in group:
+            candidates = [
+                plan for _, plan in sorted(block_plan.plans.items())
+                if plan.kind == "store" and self._acceptable(plan)
+            ]
+            if not self.module_scope:
+                _metrics.add("plan.select_candidates", len(candidates))
+            eligible, pressure_rejected = split_by_pressure(
+                candidates, self.weight, self.threshold
             )
-        if chosen is None:
-            # Selection budget ran dry before the greedy pass finished:
-            # keep the legacy-shaped subset rather than a partial pick.
-            chosen, total, note = first_fit, ff_total, "first-fit"
-        else:
-            total = sum(self._cost(plan) for plan in chosen)
-            note = self.mode
-            if total >= ff_total:
-                chosen, total, note = first_fit, ff_total, "first-fit"
+            entries.append(_Entry(
+                eligible, pressure_rejected,
+                first_fit_subset(block_plan, self._acceptable),
+            ))
+
+        # One pool, best projected savings first; plan ids are unique
+        # within a group, so the tie-break is stable.
+        pool = [(entry, plan) for entry in entries
+                for plan in entry.eligible]
+        pool.sort(key=lambda item: (self._cost(item[1]),
+                                    item[1].plan_id))
+        budget_dry = False
+        for entry, plan in pool:
+            meter.charge_select()
+            if not meter.select_allowed():
+                budget_dry = True
+                break
+            if entry.claimed & plan.claimed:
+                continue
+            entry.picks.append(plan)
+            entry.claimed = entry.claimed | plan.claimed
+
+        if budget_dry and not self.module_scope:
+            for entry in entries:
+                entry.picks = None
+        elif self.exhaustive and not budget_dry:
+            budget_dry = self._refine(entries, meter)
+
+        selections = [self._verdict(entry) for entry in entries]
+        if self.module_scope:
+            selected = sum(len(s.chosen) for s in selections)
+            functions = len({function for function, _ in group})
+            _metrics.add("plan.module.functions", functions)
+            _metrics.add("plan.module.blocks", len(entries))
+            _metrics.add("plan.module.candidates", len(pool))
+            _metrics.add("plan.module.selected", selected)
+            if budget_dry:
+                _metrics.add("plan.module.budget_stopped")
+            _records.emit(
+                "module_select", mode=self.mode, functions=functions,
+                blocks=len(entries), candidates=len(pool),
+                selected=selected, budget_exhausted=budget_dry,
+            )
+        return selections
+
+    def _refine(self, entries: list[_Entry], meter: BudgetMeter) -> bool:
+        """The subset search on top of the greedy picks, most promising
+        block first, under one visit cap; True when the budget stopped
+        it."""
+        limit_state = _default_limit_state(meter)
+        order = sorted(
+            range(len(entries)),
+            key=lambda i: (sum(self._cost(p) for p in entries[i].picks),
+                           i),
+        )
+        for index in order:
+            entry = entries[index]
+            if self.module_scope:
+                if not entry.eligible:
+                    continue
+                if not meter.select_allowed():
+                    return True
+            entry.picks = exhaustive_subsets(
+                entry.eligible, meter, entry.picks, self._cost,
+                limit_state,
+            )
+        return False
+
+    def _verdict(self, entry: "_Entry") -> Selection:
+        """The block's pick, unless the first-fit shape is at least as
+        good (or the pick was dropped because the budget ran dry)."""
+        ff_total = sum(self._cost(plan) for plan in entry.first_fit)
+        chosen, total, note = entry.first_fit, ff_total, "first-fit"
+        if entry.picks is not None:
+            picks_total = sum(self._cost(plan) for plan in entry.picks)
+            if picks_total < ff_total:
+                chosen, total, note = entry.picks, picks_total, self.mode
         chosen_ids = tuple(sorted(plan.plan_id for plan in chosen))
         # A plan that still ended up chosen (the first-fit fallback is
         # pressure-blind by design) must not be blocked at apply time.
         pressure_rejected = tuple(
-            pid for pid in pressure_rejected if pid not in chosen_ids
+            pid for pid in entry.pressure_rejected
+            if pid not in chosen_ids
         )
         return Selection(mode=self.mode, chosen=chosen_ids,
                          planned_total=total, note=note,
                          pressure_rejected=pressure_rejected)
 
-    def _first_fit(self, block_plan: BlockPlan) -> list[TreePlan]:
-        return first_fit_subset(block_plan, self._acceptable)
+
+class _Entry:
+    """One block's selection state inside :class:`Selector`."""
+
+    __slots__ = ("eligible", "pressure_rejected", "first_fit", "picks",
+                 "claimed")
+
+    def __init__(self, eligible: list[TreePlan],
+                 pressure_rejected: tuple[int, ...],
+                 first_fit: list[TreePlan]):
+        self.eligible = eligible
+        self.pressure_rejected = pressure_rejected
+        self.first_fit = first_fit
+        #: the strategy's picks; ``None`` keeps the first-fit shape
+        self.picks: Optional[list[TreePlan]] = []
+        self.claimed: frozenset[int] = frozenset()
 
 
 # ---------------------------------------------------------------------------
-# Selection primitives (shared by the per-block and module selectors)
+# Selection primitives
 # ---------------------------------------------------------------------------
 
 
@@ -606,33 +667,10 @@ def split_by_pressure(candidates: list[TreePlan], weight: int,
     return eligible, tuple(rejected)
 
 
-def greedy_subset(candidates: list[TreePlan], cost, meter: BudgetMeter
-                  ) -> Optional[list[TreePlan]]:
-    """Best-savings-first greedy over non-conflicting plans.
-
-    Each candidate considered charges one unit of the selection budget;
-    ``None`` (caller falls back to the legacy first-fit shape) when the
-    budget runs dry mid-pass — with no ``max_select_subsets`` cap the
-    behaviour is exactly the historical unmetered greedy."""
-    ordered = sorted(candidates, key=lambda p: (cost(p), p.plan_id))
-    picked: list[TreePlan] = []
-    claimed: frozenset[int] = frozenset()
-    for plan in ordered:
-        meter.charge_select()
-        if not meter.select_allowed():
-            return None
-        if claimed & plan.claimed:
-            continue
-        picked.append(plan)
-        claimed = claimed | plan.claimed
-    return picked
-
-
 def _default_limit_state(meter: BudgetMeter) -> dict:
-    """Mutable visit-count state for :func:`exhaustive_subsets`; the
-    built-in cap applies only when no explicit budget cap is set.  The
-    module selector passes one shared state across every block so the
-    default cap stays module-wide."""
+    """Mutable visit-count state for :func:`exhaustive_subsets`, shared
+    by every block of one selection; the built-in cap applies only when
+    no explicit budget cap is set."""
     limit = (DEFAULT_SELECT_SUBSETS
              if meter.budget.max_select_subsets is None else None)
     return {"visited": 0, "limit": limit}
@@ -675,220 +713,6 @@ def exhaustive_subsets(candidates: list[TreePlan], meter: BudgetMeter,
 
     dfs(0, [], frozenset(), 0)
     return best
-
-
-# ---------------------------------------------------------------------------
-# Module-scope selection (goSLP-style global packing)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FunctionPlan:
-    """Every block plan the planner enumerated for one function."""
-
-    function: str
-    blocks: list[BlockPlan] = field(default_factory=list)
-
-
-@dataclass
-class ModulePlan:
-    """Phase-1 output of the module-scoped flow: the pooled candidate
-    plans of every block of every function in a compile job.  Plan ids
-    come from one module-wide counter, so ``(function, block, plan_id)``
-    is a stable identity."""
-
-    functions: list[FunctionPlan] = field(default_factory=list)
-
-    def all_blocks(self):
-        for fplan in self.functions:
-            for block_plan in fplan.blocks:
-                yield fplan.function, block_plan
-
-    @property
-    def candidate_count(self) -> int:
-        return sum(
-            len(block_plan.plans) for _, block_plan in self.all_blocks()
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-serializable phase summary (observability payload)."""
-        return {
-            "functions": [
-                {
-                    "function": fplan.function,
-                    "blocks": [
-                        {"block": bp.block, "plans": sorted(bp.plans)}
-                        for bp in fplan.blocks
-                    ],
-                }
-                for fplan in self.functions
-            ],
-        }
-
-
-class _ModuleEntry:
-    """Per-block selection state inside the module selector."""
-
-    __slots__ = ("function", "block_plan", "eligible",
-                 "pressure_rejected", "first_fit", "picks", "claimed")
-
-    def __init__(self, function: str, block_plan: BlockPlan,
-                 eligible: list[TreePlan],
-                 pressure_rejected: tuple[int, ...],
-                 first_fit: list[TreePlan]):
-        self.function = function
-        self.block_plan = block_plan
-        self.eligible = eligible
-        self.pressure_rejected = pressure_rejected
-        self.first_fit = first_fit
-        self.picks: list[TreePlan] = []
-        self.claimed: frozenset[int] = frozenset()
-
-
-class ModuleSelector:
-    """Module-scope selection: phase 2 of the two-phase flow.
-
-    Every block's eligible candidates are pooled and considered in one
-    global best-savings order, so a tight shared selection budget
-    (``Budget.max_select_subsets`` metered through the module meter) is
-    spent on the highest-projected-savings plans anywhere in the module
-    — goSLP's global packing, where the per-block flow would spend the
-    same budget on whichever block happens to come first.
-
-    ``module-greedy`` stops at the global greedy pass;
-    ``module-exhaustive`` then refines blocks one at a time (best
-    projected savings first) with the subset DFS, all charged to the
-    same shared meter.  Per block, the module pick replaces the
-    legacy-shaped first-fit subset only when strictly better, so with
-    an unlimited budget ``module-greedy`` selects exactly what
-    per-block ``greedy-savings`` would — never worse, by construction.
-    """
-
-    def __init__(self, config):
-        if config.plan_select not in MODULE_SELECT_MODES:
-            raise ValueError(
-                f"not a module plan-select mode "
-                f"{config.plan_select!r}; use one of "
-                f"{', '.join(MODULE_SELECT_MODES)}"
-            )
-        self.mode = config.plan_select
-        self.threshold = config.cost_threshold
-        self.weight = config.reg_pressure_weight
-
-    # ------------------------------------------------------------------
-
-    def _acceptable(self, plan: TreePlan) -> bool:
-        return plan.schedulable and plan.total_cost < self.threshold
-
-    def _cost(self, plan: TreePlan) -> int:
-        return plan.selection_cost(self.weight)
-
-    def select(self, module_plan: ModulePlan, meter: BudgetMeter
-               ) -> dict[tuple[str, str], Selection]:
-        """Selection verdicts keyed by ``(function, block)``."""
-        with span("slp.module_select", mode=self.mode):
-            return self._select(module_plan, meter)
-
-    def _select(self, module_plan: ModulePlan, meter: BudgetMeter
-                ) -> dict[tuple[str, str], Selection]:
-        entries: list[_ModuleEntry] = []
-        for function, block_plan in module_plan.all_blocks():
-            candidates = [
-                plan for _, plan in sorted(block_plan.plans.items())
-                if plan.kind == "store" and plan.policy == "default"
-                and self._acceptable(plan)
-            ]
-            eligible, pressure_rejected = split_by_pressure(
-                candidates, self.weight, self.threshold
-            )
-            entries.append(_ModuleEntry(
-                function, block_plan, eligible, pressure_rejected,
-                first_fit_subset(block_plan, self._acceptable),
-            ))
-
-        # One global pool, best projected savings first; plan ids come
-        # from one module-wide counter, so the tie-break is stable.
-        pool = [(entry, plan) for entry in entries
-                for plan in entry.eligible]
-        pool.sort(key=lambda item: (self._cost(item[1]),
-                                    item[1].plan_id))
-        budget_dry = False
-        for entry, plan in pool:
-            meter.charge_select()
-            if not meter.select_allowed():
-                budget_dry = True
-                break
-            if entry.claimed & plan.claimed:
-                continue
-            entry.picks.append(plan)
-            entry.claimed = entry.claimed | plan.claimed
-
-        if self.mode == "module-exhaustive" and not budget_dry:
-            budget_dry = self._refine(entries, meter)
-
-        selections: dict[tuple[str, str], Selection] = {}
-        selected = 0
-        for entry in entries:
-            selection = self._verdict(entry)
-            selected += len(selection.chosen)
-            key = (entry.function, entry.block_plan.block)
-            selections[key] = selection
-
-        _metrics.add("plan.module.functions", len(module_plan.functions))
-        _metrics.add("plan.module.blocks", len(entries))
-        _metrics.add("plan.module.candidates", len(pool))
-        _metrics.add("plan.module.selected", selected)
-        if budget_dry:
-            _metrics.add("plan.module.budget_stopped")
-        _records.emit(
-            "module_select", mode=self.mode,
-            functions=len(module_plan.functions), blocks=len(entries),
-            candidates=len(pool), selected=selected,
-            budget_exhausted=budget_dry,
-        )
-        return selections
-
-    def _refine(self, entries: list[_ModuleEntry],
-                meter: BudgetMeter) -> bool:
-        """``module-exhaustive``: per-block subset DFS on top of the
-        global greedy picks, most promising block first, all charged to
-        the one shared meter (and one shared default visit cap)."""
-        limit_state = _default_limit_state(meter)
-        order = sorted(
-            range(len(entries)),
-            key=lambda i: (sum(self._cost(p) for p in entries[i].picks),
-                           i),
-        )
-        for index in order:
-            entry = entries[index]
-            if not entry.eligible:
-                continue
-            if not meter.select_allowed():
-                return True
-            entry.picks = exhaustive_subsets(
-                entry.eligible, meter, entry.picks, self._cost,
-                limit_state,
-            )
-        return False
-
-    def _verdict(self, entry: _ModuleEntry) -> Selection:
-        """Per-block verdict: the module pick must be *strictly* better
-        than the legacy-shaped first-fit subset, mirroring the
-        per-block selector's rule (a budget-starved block therefore
-        degrades to exactly the legacy shape)."""
-        total = sum(self._cost(plan) for plan in entry.picks)
-        ff_total = sum(self._cost(plan) for plan in entry.first_fit)
-        chosen, note = entry.picks, self.mode
-        if total >= ff_total:
-            chosen, total, note = entry.first_fit, ff_total, "first-fit"
-        chosen_ids = tuple(sorted(plan.plan_id for plan in chosen))
-        pressure_rejected = tuple(
-            pid for pid in entry.pressure_rejected
-            if pid not in chosen_ids
-        )
-        return Selection(mode=self.mode, chosen=chosen_ids,
-                         planned_total=total, note=note,
-                         pressure_rejected=pressure_rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -1194,8 +1018,6 @@ def record_outcomes(block_plan: BlockPlan, applier: Applier, mode: str,
 
 def _classify(plan: TreePlan, applier: Applier,
               cost_threshold: int) -> tuple[str, str]:
-    if plan.policy != "default":
-        return "rejected", "policy-variant"
     if plan.kind == "reduction":
         key = (id(plan.seed.root), plan.vector_length)
         if key in applier.applied_reductions:
@@ -1263,13 +1085,9 @@ __all__ = [
     "BlockPlan",
     "claimed_ids",
     "DEFAULT_SELECT_SUBSETS",
-    "FunctionPlan",
     "MODULE_SELECT_MODES",
-    "ModulePlan",
-    "ModuleSelector",
     "PLAN_SELECT_MODES",
     "Planner",
-    "POLICY_VARIANTS",
     "record_outcomes",
     "Selection",
     "Selector",

@@ -11,18 +11,21 @@ paper's four appear as factory methods:
   look-ahead reordering), with the depth and multi-node size knobs the
   Figure 13 sensitivity study sweeps.
 
-:class:`SLPVectorizer` drives each block through the three phases of
-:mod:`repro.slp.plan`:
+:class:`ModuleVectorizationDriver` is the one SLP driver: it takes
+each block through the three phases of :mod:`repro.slp.plan`, and
+:class:`SLPVectorizer` runs it over a lone function:
 
 1. **plan** — enumerate immutable :class:`~repro.slp.plan.TreePlan`
-   candidates (full width, both halves eagerly, reductions, optional
-   policy variants) without touching the IR, on an isolated analysis
-   context and a phase-scoped budget meter;
+   candidates (full width, both halves eagerly, reductions) without
+   touching the IR, on an isolated analysis context and a phase-scoped
+   budget meter;
 2. **select** — resolve conflicts between overlapping candidates.  The
    default ``plan_select="legacy"`` skips selection entirely and lets
    the applier's greedy first-fit decide, reproducing the historical
-   pipeline byte-for-byte; ``"greedy-savings"``/``"exhaustive"`` pick
-   the best non-conflicting subset by plan-time total cost;
+   pipeline byte-for-byte; the other modes pick the best
+   non-conflicting subset by plan-time total cost, per block
+   (``"greedy-savings"``/``"exhaustive"``) or over the whole module
+   (``"module-greedy"``/``"module-exhaustive"``);
 3. **apply** — materialize trees through ``VectorCodeGen`` in
    deterministic order, rebuilding and re-checking each on the current
    IR.
@@ -54,9 +57,7 @@ from .plan import (
     MODULE_SELECT_MODES,
     PLAN_SELECT_MODES,
     Applier,
-    FunctionPlan,
-    ModulePlan,
-    ModuleSelector,
+    BlockPlan,
     Planner,
     Selection,
     Selector,
@@ -101,10 +102,6 @@ class VectorizerConfig:
     #: every function and spend one shared selection budget where the
     #: projected savings are largest
     plan_select: str = "legacy"
-    #: extra build policies ("slp-nr", "slp", "lslp") the planner
-    #: enumerates per seed for comparison; informational only, never
-    #: applied
-    plan_policy_variants: tuple[str, ...] = ()
     #: selection-time penalty per vector register a plan needs beyond
     #: the target's register file (repro.slp.pressure); 0 disables the
     #: pressure term entirely
@@ -224,96 +221,22 @@ class VectorizationReport:
 
 
 class SLPVectorizer:
-    """Runs one configuration over functions/modules, rewriting the IR."""
+    """The one-function entry point: a lone function vectorized by its
+    own :class:`ModuleVectorizationDriver` (it is its own module)."""
 
     def __init__(self, config: Optional[VectorizerConfig] = None,
                  target: Optional[TargetCostModel] = None):
         self.config = config if config is not None else VectorizerConfig.lslp()
         self.target = target if target is not None else skylake_like()
-        if self.config.plan_select not in PLAN_SELECT_MODES:
-            raise ValueError(
-                f"unknown plan-select mode {self.config.plan_select!r}; "
-                f"use one of {', '.join(PLAN_SELECT_MODES)}"
-            )
-
-    # ------------------------------------------------------------------
 
     def run_function(self, func: Function,
                      module_meter: Optional[ModuleMeter] = None
                      ) -> VectorizationReport:
-        report = VectorizationReport(func.name, self.config.name)
         if not self.config.enabled:
-            return report
-        if self.config.plan_select in MODULE_SELECT_MODES:
-            # A lone function is its own module: candidates from all of
-            # its blocks are pooled and selected in one pass.
-            driver = ModuleVectorizationDriver(self.config, self.target,
-                                               module_meter)
-            driver.plan_function(func)
-            driver.select()
-            return driver.apply_function(func)
-        meter = BudgetMeter(self.config.budget, module=module_meter)
-        meter.start_function()
-        #: function-scope plan ids, so records stay unambiguous across
-        #: blocks
-        plan_ids = itertools.count()
-        # Ambient record context: deep layers (builder, reorderer,
-        # budget meters) emit decision records without threading names.
-        context = _records.push_context(
-            function=func.name, config=self.config.name,
-            **{"pass": "slp"},
-        )
-        try:
-            with span("slp.function", function=func.name,
-                      config=self.config.name):
-                for block in func.blocks:
-                    self._run_block(block, report, meter, plan_ids)
-        finally:
-            _records.restore_context(context)
-        for event in meter.events:
-            report.remarks.append(_budget_remark(func.name, event))
-        _publish_report_metrics(report)
-        return report
-
-    # ------------------------------------------------------------------
-
-    def _run_block(self, block: BasicBlock, report: VectorizationReport,
-                   meter: Optional[BudgetMeter] = None,
-                   plan_ids: Optional[itertools.count] = None) -> None:
-        meter = meter if meter is not None else BudgetMeter()
-
-        # Apply-phase analyses are rebuilt per block: code generation
-        # invalidates cached positions but not SCEV facts; a fresh
-        # context is cheap and always sound.  Seeds are collected with
-        # the *apply* context so its caches populate exactly as the
-        # historical pipeline's did.
-        ctx = LookAheadContext(ScalarEvolution())
-        aa = AliasAnalysis(ctx.scev)
-        seeds = collect_store_seeds(block, ctx.scev, self.target)
-
-        # Phase 1 — plan.  Isolated analysis context (shared SCEV caches
-        # would leak pre-mutation facts into apply-time builds) and a
-        # phase-scoped meter (planning must not perturb apply-phase
-        # budget accounting).
-        plan_ctx = LookAheadContext(ScalarEvolution())
-        plan_aa = AliasAnalysis(plan_ctx.scev)
-        planner = Planner(self.config, self.target, ids=plan_ids)
-        block_plan = planner.plan_block(block, seeds, plan_ctx, plan_aa,
-                                        meter.phase_meter())
-
-        # Phase 2 — select.  Legacy mode defers to the applier's greedy
-        # first-fit; selection charges the function meter.
-        selection: Optional[Selection] = None
-        if self.config.plan_select != "legacy":
-            selection = Selector(self.config).select(block_plan, meter)
-
-        # Phase 3 — apply, then reconcile what actually happened with
-        # what was planned.
-        applier = Applier(self.config, self.target)
-        applier.apply(block, block_plan, selection, seeds, ctx, aa,
-                      report, meter)
-        record_outcomes(block_plan, applier, self.config.plan_select,
-                        self.config.cost_threshold, selection)
+            return VectorizationReport(func.name, self.config.name)
+        driver = ModuleVectorizationDriver(self.config, self.target,
+                                           module_meter)
+        return driver.apply_function(func)
 
 
 def _publish_report_metrics(report: VectorizationReport) -> None:
@@ -341,7 +264,7 @@ def _budget_remark(function: str, event) -> Remark:
 
 
 # ---------------------------------------------------------------------------
-# Module-scoped two-phase driver
+# The driver
 # ---------------------------------------------------------------------------
 
 
@@ -351,45 +274,57 @@ class _PlannedBlock:
 
     block: BasicBlock
     seeds: list
-    block_plan: object
+    block_plan: BlockPlan
     ctx: LookAheadContext
     aa: AliasAnalysis
+    #: the module-scope verdict, once :meth:`select` has run
+    selection: Optional[Selection] = None
 
 
 @dataclass
 class _PlannedFunction:
-    func: Function
+    """One function's report, budget meter and planned blocks."""
+
     report: VectorizationReport
     meter: BudgetMeter
+    ids: itertools.count
     blocks: list[_PlannedBlock] = field(default_factory=list)
 
 
 class ModuleVectorizationDriver:
-    """The two-phase, module-scoped plan/select/apply flow.
+    """The SLP driver (paper Figure 1): plan, select, apply.
 
-    Phase 1 (:meth:`plan_function`, once per function) enumerates
-    candidates for every block read-only, pooling them into one
-    :class:`~repro.slp.plan.ModulePlan` with module-wide plan ids.
-    Phase 2 (:meth:`select`) runs the module-scope selector over the
-    pooled candidates, spending the one shared selection budget where
-    projected savings are largest.  :meth:`apply_function` then
-    materializes one function's share of the verdicts — callable per
-    function so a guarded pipeline (``repro.opt.pipelines``) can wrap
-    each function's apply in its own pass guard.
+    :meth:`plan_function` enumerates one function's candidates for
+    every block, read-only.  :meth:`select` runs the module-scope
+    selection over every function planned since the last call.
+    :meth:`apply_function` materializes one function, block by block —
+    callable per function, so a guarded pipeline
+    (``repro.opt.pipelines``) can wrap each function's apply in its own
+    pass guard.
+
+    Every ``plan_select`` mode runs here.  ``legacy`` never selects;
+    block scope (``greedy-savings``, ``exhaustive``) plans and selects
+    each block in :meth:`apply_function`, just before applying it, so
+    selection sees the look-ahead evals earlier blocks charged; module
+    scope (``module-*``) plans every function first, then selects once
+    for all of them.  A function :meth:`apply_function` meets
+    unplanned is, under module scope, planned and selected on its own.
 
     Seeds and apply-phase analysis contexts are captured at plan time;
     the applier re-checks liveness and rebuilds every tree on the
     current IR, so cross-function ordering cannot invalidate a verdict
-    silently.
+    silently.  Blocks replaced after planning (a guard rollback swaps
+    in a snapshot's blocks) are planned again at apply time and applied
+    first-fit, with a remark.
     """
 
     def __init__(self, config: VectorizerConfig,
                  target: Optional[TargetCostModel] = None,
                  module_meter: Optional[ModuleMeter] = None):
-        if config.plan_select not in MODULE_SELECT_MODES:
+        if config.plan_select not in PLAN_SELECT_MODES:
             raise ValueError(
-                f"not a module plan-select mode {config.plan_select!r};"
-                f" use one of {', '.join(MODULE_SELECT_MODES)}"
+                f"unknown plan-select mode {config.plan_select!r}; "
+                f"use one of {', '.join(PLAN_SELECT_MODES)}"
             )
         self.config = config
         self.target = target if target is not None else skylake_like()
@@ -397,10 +332,13 @@ class ModuleVectorizationDriver:
                 and config.budget.has_module_caps):
             module_meter = ModuleMeter(config.budget)
         self.module_meter = module_meter
-        self.module_plan = ModulePlan()
+        self.module_scope = config.plan_select in MODULE_SELECT_MODES
+        self.selector = (None if config.plan_select == "legacy"
+                         else Selector(config))
         self._plan_ids = itertools.count()
         self._planned: dict[str, _PlannedFunction] = {}
-        self._selections: Optional[dict] = None
+        #: planned functions awaiting the module-scope selection
+        self._unselected: list[_PlannedFunction] = []
         self._select_events: list = []
 
     # ------------------------------------------------------------------
@@ -408,88 +346,74 @@ class ModuleVectorizationDriver:
     def plan_function(self, func: Function) -> None:
         """Phase 1 for one function: enumerate every block's candidates
         without touching the IR."""
-        report = VectorizationReport(func.name, self.config.name)
-        meter = BudgetMeter(self.config.budget, module=self.module_meter)
-        meter.start_function()
-        planned = _PlannedFunction(func, report, meter)
-        fplan = FunctionPlan(func.name)
-        context = _records.push_context(
-            function=func.name, config=self.config.name,
-            **{"pass": "slp"},
-        )
+        planned = self._start(func)
+        self._planned[func.name] = planned
+        if self.module_scope:
+            self._unselected.append(planned)
+        context = self._push_context(func)
         try:
             with span("slp.module_plan", function=func.name,
                       config=self.config.name):
                 for block in func.blocks:
-                    # Apply-phase analyses, captured now, used in phase
-                    # 3; the planner gets its own isolated context, as
-                    # in the per-block flow.
-                    ctx = LookAheadContext(ScalarEvolution())
-                    aa = AliasAnalysis(ctx.scev)
-                    seeds = collect_store_seeds(block, ctx.scev,
-                                                self.target)
-                    plan_ctx = LookAheadContext(ScalarEvolution())
-                    plan_aa = AliasAnalysis(plan_ctx.scev)
-                    planner = Planner(self.config, self.target,
-                                      ids=self._plan_ids,
-                                      function=func.name)
-                    block_plan = planner.plan_block(
-                        block, seeds, plan_ctx, plan_aa,
-                        meter.phase_meter(),
-                    )
-                    planned.blocks.append(
-                        _PlannedBlock(block, seeds, block_plan, ctx, aa)
-                    )
-                    fplan.blocks.append(block_plan)
+                    planned.blocks.append(self._plan_block(planned, block))
         finally:
             _records.restore_context(context)
-        self._planned[func.name] = planned
-        self.module_plan.functions.append(fplan)
 
     def select(self) -> None:
-        """Phase 2: one module-scope selection over the pooled
-        candidates (idempotent)."""
-        if self._selections is not None:
+        """Phase 2 under module scope: one selection over every function
+        planned since the last call.  Block scope selects each block in
+        :meth:`apply_function` instead."""
+        if not self.module_scope or not self._unselected:
             return
-        select_meter = BudgetMeter(self.config.budget,
-                                   module=self.module_meter)
-        self._selections = ModuleSelector(self.config).select(
-            self.module_plan, select_meter
+        blocks = [(planned.report.function, pb)
+                  for planned in self._unselected for pb in planned.blocks]
+        self._unselected = []
+        meter = BudgetMeter(self.config.budget, module=self.module_meter)
+        selections = self.selector.select(
+            [(name, pb.block_plan) for name, pb in blocks], meter
         )
-        self._select_events = list(select_meter.events)
+        for (_, pb), selection in zip(blocks, selections):
+            pb.selection = selection
+        self._select_events.extend(meter.events)
 
     def apply_function(self, func: Function) -> VectorizationReport:
-        """Phase 3 for one function: materialize its share of the
-        module selection in deterministic plan order."""
-        self.select()
-        planned = self._planned[func.name]
+        """Phase 3 for one function: materialize its blocks in order."""
+        if self.module_scope:
+            if func.name not in self._planned:
+                self.plan_function(func)
+            self.select()
+        planned = self._planned.pop(func.name, None)
+        if planned is None:
+            planned = self._start(func)
+        ahead = {id(pb.block): pb for pb in planned.blocks}
         report, meter = planned.report, planned.meter
-        context = _records.push_context(
-            function=func.name, config=self.config.name,
-            **{"pass": "slp"},
-        )
+        context = self._push_context(func)
         try:
             with span("slp.function", function=func.name,
                       config=self.config.name):
-                for pb in planned.blocks:
-                    selection = self._selections.get(
-                        (func.name, pb.block.name)
-                    )
-                    if selection is None:
-                        selection = Selection(
-                            mode=self.config.plan_select, chosen=(),
-                            planned_total=0, note="first-fit",
-                        )
+                for block in func.blocks:
+                    pb = ahead.pop(id(block), None)
+                    if pb is None:
+                        pb = self._plan_block(planned, block)
+                    selection = self._selection(func.name, pb, meter)
                     applier = Applier(self.config, self.target)
-                    applier.apply(pb.block, pb.block_plan, selection,
-                                  pb.seeds, pb.ctx, pb.aa, report,
-                                  meter)
+                    applier.apply(block, pb.block_plan, selection,
+                                  pb.seeds, pb.ctx, pb.aa, report, meter)
                     record_outcomes(pb.block_plan, applier,
                                     self.config.plan_select,
-                                    self.config.cost_threshold,
-                                    selection)
+                                    self.config.cost_threshold, selection)
         finally:
             _records.restore_context(context)
+        if ahead:
+            report.remarks.append(Remark(
+                Severity.WARNING, "plan",
+                "blocks changed after planning (a rollback restored an "
+                "earlier body); planned them again and applied them "
+                "first-fit",
+                function=func.name, pass_name="slp", phase="plan",
+                remediation="see the rollback remark for the failing "
+                            "pass",
+            ))
         for event in meter.events:
             report.remarks.append(_budget_remark(func.name, event))
         # Module-scope selection events surface once, on the first
@@ -499,6 +423,65 @@ class ModuleVectorizationDriver:
         self._select_events = []
         _publish_report_metrics(report)
         return report
+
+    # ------------------------------------------------------------------
+
+    def _start(self, func: Function) -> _PlannedFunction:
+        meter = BudgetMeter(self.config.budget, module=self.module_meter)
+        meter.start_function()
+        # Block-scope plan ids restart per function and its plans carry
+        # no function name (see _plan_block), as block-scope plan dumps
+        # have always numbered and named them.
+        ids = self._plan_ids if self.module_scope else itertools.count()
+        return _PlannedFunction(
+            VectorizationReport(func.name, self.config.name), meter, ids
+        )
+
+    def _push_context(self, func: Function) -> dict:
+        # Ambient record context: deep layers (builder, reorderer,
+        # budget meters) emit decision records without threading names.
+        return _records.push_context(
+            function=func.name, config=self.config.name,
+            **{"pass": "slp"},
+        )
+
+    def _plan_block(self, planned: _PlannedFunction,
+                    block: BasicBlock) -> _PlannedBlock:
+        # Apply-phase analyses are fresh per block: code generation
+        # invalidates cached positions but not SCEV facts.  Seeds are
+        # collected with the apply context so its caches populate as
+        # the historical pipeline's did.  The planner gets its own
+        # context (shared SCEV caches would leak pre-mutation facts into
+        # apply-time builds) and a phase-scoped meter (planning must not
+        # perturb apply-phase budget accounting).
+        ctx = LookAheadContext(ScalarEvolution())
+        aa = AliasAnalysis(ctx.scev)
+        seeds = collect_store_seeds(block, ctx.scev, self.target)
+        plan_ctx = LookAheadContext(ScalarEvolution())
+        planner = Planner(
+            self.config, self.target, ids=planned.ids,
+            function=planned.report.function if self.module_scope else "",
+        )
+        block_plan = planner.plan_block(
+            block, seeds, plan_ctx, AliasAnalysis(plan_ctx.scev),
+            planned.meter.phase_meter(),
+        )
+        return _PlannedBlock(block, seeds, block_plan, ctx, aa)
+
+    def _selection(self, function: str, pb: _PlannedBlock,
+                   meter: BudgetMeter) -> Optional[Selection]:
+        if self.selector is None:
+            return None
+        if not self.module_scope:
+            # Block scope charges the function meter, so selection sees
+            # the look-ahead evals earlier blocks charged.
+            return self.selector.select([(function, pb.block_plan)],
+                                        meter)[0]
+        if pb.selection is None:
+            # planned at apply time: the module selection never saw it
+            return Selection(mode=self.config.plan_select, chosen=(),
+                             planned_total=0, note="first-fit")
+        return pb.selection
 
 
 __all__ = [

@@ -256,6 +256,24 @@ def test_version_mismatch_rejected():
         CompiledModule(source)
 
 
+def test_other_version_rejected_before_it_runs():
+    """The header's version is checked before the source executes: a
+    v1 module whose prelude imports a missing module is a version
+    error, not an ImportError."""
+    m, f = loop_module()
+    source = emit_module(m, TARGET).source
+    header = f"Generated by repro.backend.emit v{EMIT_VERSION}."
+    assert source.count(header) == 1
+    source = source.replace(header, "Generated by repro.backend.emit v1.")
+    source = source.replace(
+        "\nfrom repro.interp", "\nimport repro_no_such_module\n"
+        "from repro.interp", 1,
+    )
+    clear_load_cache()
+    with pytest.raises(ValueError, match="generated source version 1 "):
+        CompiledModule(source)
+
+
 def test_bound_function_survives_in_place_mutation():
     """Bound buffers are captured by reference; randomize/set_array
     mutate in place, so results track the live memory."""

@@ -22,6 +22,7 @@ Four guarantees:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -32,6 +33,7 @@ from repro.interp import compare_runs
 from repro.ir import verify_function
 from repro.kernels import (
     ALL_KERNELS,
+    MODULE_BUDGET_TWIN,
     MODULE_SELECT_BUDGET,
     MODULEWIDE_KERNELS,
     OVERLAP_KERNELS,
@@ -368,3 +370,48 @@ def test_cli_compile_accepts_module_mode_and_pressure(tmp_path,
                "--reg-pressure-weight", "1", "--report"])
     capsys.readouterr()
     assert rc == 0
+
+
+def test_cli_compile_selects_across_the_module(tmp_path, capsys):
+    """``lslp compile`` runs ``compile_module``, so a module-* mode
+    spends one selection budget over every function, as service jobs
+    do, instead of selecting function by function."""
+    from repro.cli import main
+
+    path = tmp_path / "twin.c"
+    path.write_text(MODULE_BUDGET_TWIN.source)
+    rc = main(["compile", str(path), "--plan-select", "module-greedy",
+               "--max-select-subsets", "6", "--report"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    module, _ = MODULE_BUDGET_TWIN.build()
+    results = compile_module(
+        module, _config("module-greedy", Budget(max_select_subsets=6))
+    )
+    for result in results:
+        assert (f"; @{result.function.name}: static cost "
+                f"{result.static_cost}, ") in out
+
+
+@pytest.mark.parametrize("mode", ["legacy", "greedy-savings",
+                                  "module-greedy"])
+def test_cli_run_meters_module_caps_in_every_mode(tmp_path, capsys,
+                                                   mode):
+    """A module look-ahead cap of one eval trips in every mode, so the
+    kernel keeps its scalar form and runs in O3's cycles."""
+    from repro.cli import main
+
+    path = tmp_path / "boy.c"
+    path.write_text(ALL_KERNELS["453.boy-surface"].source)
+
+    def cycles(*flags):
+        assert main(["run", str(path), "--arg", "i=0", "--remarks",
+                     *flags]) == 0
+        out = capsys.readouterr().out
+        return int(re.search(r"(\d+) cycles, ", out).group(1)), out
+
+    scalar, _ = cycles("--config", "o3")
+    capped, out = cycles("--plan-select", mode,
+                         "--max-module-lookahead-evals", "1")
+    assert "module-level compile budget exhausted" in out
+    assert capped == scalar

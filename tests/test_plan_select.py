@@ -282,29 +282,6 @@ def test_plan_records_and_sink_cover_every_candidate():
         assert "total_cost" in entry and "description" in entry
 
 
-def test_policy_variant_plans_are_enumerated_and_rejected():
-    sink = ListSink()
-    records.set_sink(sink)
-    try:
-        config = replace(VectorizerConfig.lslp(),
-                         plan_policy_variants=("slp",))
-        _, func = build_kernel(OVERLAP_KERNELS[0].source)
-        compile_function(func, config)
-    finally:
-        records.set_sink(None)
-    variants = [
-        r for r in sink.records
-        if r["type"] == "plan" and r.get("policy") == "slp"
-    ]
-    assert variants, "expected plan records for the slp policy variant"
-    rejected = {
-        r["plan_id"]: r.get("reason")
-        for r in sink.records if r["type"] == "reject"
-    }
-    for record in variants:
-        assert rejected.get(record["plan_id"]) == "policy-variant"
-
-
 # ---------------------------------------------------------------------------
 # Budgets: degradation is explicit
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ CLI surface (``--strict`` / ``--remarks`` / ``run --verify`` plus the
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -35,7 +36,7 @@ from repro.ir import (
     verify_function,
 )
 from repro.kernels import ALL_KERNELS
-from repro.opt import compile_function, PassManager
+from repro.opt import compile_function, compile_module, PassManager
 from repro.opt.pipelines import build_pipeline
 from repro.robustness import (
     Budget,
@@ -229,6 +230,52 @@ class TestPassGuard:
             (ref_module, ref_func), (module, func), args=ARGS
         )
         assert outcome.equivalent, outcome.detail
+
+    @pytest.mark.parametrize("mode", ["module-greedy",
+                                      "module-exhaustive"])
+    @pytest.mark.parametrize("kernel", ["453.boy-surface",
+                                        "fig8-walkthrough"])
+    def test_module_plans_made_again_after_last_pass_rollback(self, kernel,
+                                                              mode):
+        """A clobber after the last scalar pass is caught only when the
+        ``slp`` snapshot fails; the guard then swaps in an earlier body,
+        so plans made on the replaced blocks must not be applied.  The
+        function is planned again and vectorizes as block scope does."""
+        outcomes = {}
+        for plan_select in ("legacy", mode):
+            module, func = ALL_KERNELS[kernel].build()
+            faults = FaultInjector(
+                FaultSpec("dce-post-unroll", "corrupt-type-clobber"),
+                seed=7,
+            )
+            config = replace(VectorizerConfig.lslp(),
+                             plan_select=plan_select)
+            [result] = compile_module(module, config, guard="guarded",
+                                      faults=faults)
+            verify_function(func)
+            assert result.rolled_back == ["dce-post-unroll"]
+            outcomes[plan_select] = (result.report.num_vectorized,
+                                     result.static_cost,
+                                     print_function(func))
+            replanned = [r for r in result.remarks if r.category == "plan"]
+            assert len(replanned) == (plan_select == mode)
+        assert outcomes[mode] == outcomes["legacy"]
+        assert outcomes[mode][0] > 0
+
+    def test_replanned_function_ignores_its_stale_verdicts(self):
+        """Faults after every pass: the module verdicts name plan ids
+        the function's second planning never made, and applying it
+        must not look them up."""
+        module, func = ALL_KERNELS["433.mult-su2"].build()
+        faults = FaultInjector(FaultSpec("*", "corrupt-type-clobber"),
+                               seed=7)
+        config = replace(VectorizerConfig.lslp(),
+                         plan_select="module-greedy")
+        result = compile_function(func, config, guard="guarded",
+                                  faults=faults)
+        verify_function(func)
+        assert "slp" not in result.rolled_back
+        assert any(r.category == "plan" for r in result.remarks)
 
     def test_unguarded_compile_still_raises(self):
         _, func = build()
@@ -890,13 +937,13 @@ class TestRobustnessCLI:
     def test_strict_cli_fails_cleanly(self, kernel_file, capsys, monkeypatch):
         import repro.cli as cli_module
 
-        real = cli_module.compile_function
+        real = cli_module.compile_module
 
-        def exploding(func, config, target=None, **kwargs):
+        def exploding(module, config, target=None, **kwargs):
             faults = FaultInjector(FaultSpec("dce", "raise"))
-            return real(func, config, target, faults=faults, **kwargs)
+            return real(module, config, target, faults=faults, **kwargs)
 
-        monkeypatch.setattr(cli_module, "compile_function", exploding)
+        monkeypatch.setattr(cli_module, "compile_module", exploding)
         assert main(["compile", kernel_file, "--strict"]) == 1
         err = capsys.readouterr().err
         assert "error:" in err
@@ -904,13 +951,13 @@ class TestRobustnessCLI:
     def test_guarded_cli_recovers(self, kernel_file, capsys, monkeypatch):
         import repro.cli as cli_module
 
-        real = cli_module.compile_function
+        real = cli_module.compile_module
 
-        def exploding(func, config, target=None, **kwargs):
+        def exploding(module, config, target=None, **kwargs):
             faults = FaultInjector(FaultSpec("dce", "raise"))
-            return real(func, config, target, faults=faults, **kwargs)
+            return real(module, config, target, faults=faults, **kwargs)
 
-        monkeypatch.setattr(cli_module, "compile_function", exploding)
+        monkeypatch.setattr(cli_module, "compile_module", exploding)
         assert main(["compile", kernel_file]) == 0
         err = capsys.readouterr().err
         assert "rolled back" in err
