@@ -31,7 +31,7 @@ from .obs.tracing import span
 from .opt.ifconvert import IFCONVERT_MODES
 from .opt.pipelines import compile_function, compile_module
 from .robustness.budget import Budget
-from .robustness.diagnostics import CompilerError, Remark, Severity
+from .robustness.diagnostics import CompilerError, DiagnosticEngine, Remark
 from .robustness.guard import DifferentialOracle, GuardPolicy
 from .slp.vectorizer import PLAN_SELECT_MODES, VectorizerConfig
 
@@ -67,16 +67,15 @@ def _config_from_args(args, warnings: Optional[list[Remark]] = None
             ) if value is not None
         ]
         if ignored:
-            remark = Remark(
-                Severity.WARNING, "config",
+            remark = DiagnosticEngine(pass_name="driver").warning(
+                "config",
                 f"{'/'.join(ignored)} ignored: config "
                 f"{config.name!r} does not take LSLP knobs",
-                pass_name="driver", phase="config",
+                phase="config",
                 remediation="drop the flag(s) or use --config lslp",
             )
             if warnings is not None:
                 warnings.append(remark)
-            obs.records.emit_remark(remark)
             print(remark.render(), file=sys.stderr)
     budget = _budget_from_args(args)
     if budget is not None:

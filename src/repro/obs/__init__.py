@@ -41,7 +41,7 @@ def reset() -> None:
     records.set_sink(None)
     records.set_graph_sink(None)
     records.set_plan_sink(None)
-    records.restore_context({})
+    records.enter(records.ROOT)
     metrics.set_publishing(False)
     metrics.reset()
 

@@ -8,12 +8,12 @@ dict.  ``lslp ... --remarks-out FILE.jsonl`` installs a
 :class:`JsonlSink` so each record becomes one canonical-JSON line,
 LLVM's ``-fsave-optimization-record`` equivalent.
 
-Producers stay decoupled: :class:`~repro.robustness.DiagnosticEngine`
-remains the remark API and simply forwards here; the vectorizer calls
-:func:`emit` directly for decision records.  A record always carries
-``function``/``pass``/``config`` context, defaulted from the ambient
-context the vectorizer pushes per function (so deep layers like the
-operand reorderer need not thread names through).
+Decision records go through :func:`emit`; each remark streams once,
+from the :meth:`~repro.robustness.DiagnosticEngine.emit` call that
+makes it.  A record carries ``function``/``pass``/``config`` from the
+ambient :class:`Context` — on the compile path the function's
+:class:`~repro.robustness.DiagnosticEngine`, named for the running pass
+— so deep layers like the operand reorderer need not thread names.
 
 Emission is **zero-cost when disabled**: with no sink installed,
 :func:`emit` is one global load and a ``None`` check.
@@ -22,6 +22,7 @@ Emission is **zero-cost when disabled**: with no sink installed,
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Any, Optional, TextIO
 
 #: known record types and the extra keys each must carry
@@ -93,8 +94,19 @@ class JsonlSink:
 #: the process-wide sink; ``None`` = record streaming disabled
 _SINK: Optional[Any] = None
 
-#: ambient producer context (function/pass/config), pushed per compile
-_CONTEXT: dict[str, str] = {}
+
+@dataclass
+class Context:
+    """Who is emitting: the context every record inherits."""
+
+    function: str = ""
+    config: str = ""
+    pass_name: str = ""
+
+
+#: the ambient context outside any compile
+ROOT = Context()
+_CONTEXT: Context = ROOT
 
 
 def set_sink(sink: Optional[Any]) -> Optional[Any]:
@@ -109,18 +121,17 @@ def active_sink() -> Optional[Any]:
     return _SINK
 
 
-def push_context(**kv: str) -> dict[str, str]:
-    """Merge ``kv`` into the ambient context; returns the previous
-    context for :func:`restore_context`."""
+def current() -> Context:
+    """The ambient context records inherit."""
+    return _CONTEXT
+
+
+def enter(context: Context) -> Context:
+    """Make ``context`` ambient; returns the previous one, which
+    ``enter(previous)`` restores."""
     global _CONTEXT
-    previous = _CONTEXT
-    _CONTEXT = dict(previous, **kv)
+    previous, _CONTEXT = _CONTEXT, context
     return previous
-
-
-def restore_context(previous: dict[str, str]) -> None:
-    global _CONTEXT
-    _CONTEXT = previous
 
 
 def emit(type_: str, **fields: Any) -> Optional[dict[str, Any]]:
@@ -132,21 +143,22 @@ def emit(type_: str, **fields: Any) -> Optional[dict[str, Any]]:
     sink = _SINK
     if sink is None:
         return None
+    context = _CONTEXT
     record: dict[str, Any] = {
         "type": type_,
-        "function": _CONTEXT.get("function", ""),
-        "pass": _CONTEXT.get("pass", ""),
+        "function": context.function,
+        "pass": context.pass_name,
     }
-    if "config" in _CONTEXT:
-        record["config"] = _CONTEXT["config"]
+    if context.config:
+        record["config"] = context.config
     record.update(fields)
     sink.emit(record)
     return record
 
 
 def emit_remark(remark) -> None:
-    """Forward one :class:`~repro.robustness.Remark` as a record
-    (:class:`DiagnosticEngine` calls this on every emission)."""
+    """Stream one :class:`~repro.robustness.Remark` as a record
+    (:meth:`DiagnosticEngine.emit` calls this once per remark)."""
     if _SINK is None:
         return
     emit(
@@ -154,10 +166,10 @@ def emit_remark(remark) -> None:
         severity=remark.severity.value,
         category=remark.category,
         message=remark.message,
-        function=remark.function or _CONTEXT.get("function", ""),
+        function=remark.function or _CONTEXT.function,
         phase=remark.phase,
         remediation=remark.remediation,
-        **{"pass": remark.pass_name or _CONTEXT.get("pass", "")},
+        **{"pass": remark.pass_name or _CONTEXT.pass_name},
     )
 
 
@@ -196,7 +208,7 @@ def capture_graph(kind: str, graph) -> None:
     sink = _GRAPH_SINK
     if sink is None:
         return
-    function = _CONTEXT.get("function", "")
+    function = _CONTEXT.function
     name = f"{function or 'kernel'}/{kind}{len(sink)}"
     sink.append((function, kind, graph.to_dot(name)))
 
@@ -227,25 +239,27 @@ def capture_plan(entry: dict) -> None:
     if sink is None:
         return
     entry = dict(entry)
-    entry.setdefault("function", _CONTEXT.get("function", ""))
-    if "config" in _CONTEXT:
-        entry.setdefault("config", _CONTEXT["config"])
+    entry.setdefault("function", _CONTEXT.function)
+    if _CONTEXT.config:
+        entry.setdefault("config", _CONTEXT.config)
     sink.append(entry)
 
 
 __all__ = [
     "COMMON_KEYS",
+    "Context",
     "JsonlSink",
     "ListSink",
     "RECORD_SCHEMA",
+    "ROOT",
     "active_plan_sink",
     "active_sink",
     "capture_graph",
     "capture_plan",
+    "current",
     "emit",
     "emit_remark",
-    "push_context",
-    "restore_context",
+    "enter",
     "set_graph_sink",
     "set_plan_sink",
     "set_sink",

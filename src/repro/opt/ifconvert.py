@@ -77,7 +77,7 @@ from ..ir.semantics import opcode_may_trap
 from ..ir.values import Constant, GlobalArray, Value
 from ..obs import metrics as _metrics
 from ..obs import records as _records
-from ..robustness.diagnostics import Remark, Severity
+from ..robustness import diagnostics
 from .simplifycfg import merge_straight_line_blocks
 
 #: accepted values for the ``ifconvert`` knob
@@ -147,7 +147,6 @@ class IfConverter:
         self.func = func
         self.mode = mode
         self.target = target if target is not None else TargetCostModel()
-        self.remarks: list[Remark] = []
         #: block ids already reported as declined (one remark per site)
         self._declined: set[int] = set()
 
@@ -446,7 +445,7 @@ class IfConverter:
 
         _metrics.add("ifconvert.converted", 1)
         _records.emit("ifconvert", event="converted", shape=shape.kind,
-                      reason="", function=func.name)
+                      reason="")
 
     # ---- diagnostics ---------------------------------------------------
 
@@ -454,43 +453,31 @@ class IfConverter:
         if id(shape.block) in self._declined:
             return
         self._declined.add(id(shape.block))
-        remark = Remark(
-            severity=Severity.NOTE,
-            category="ifconvert",
-            message=(f"not converting {shape.kind} at "
-                     f"{shape.block.name}: {reason}"),
-            function=self.func.name,
-            pass_name="ifconvert",
+        diagnostics.current().note(
+            "ifconvert",
+            f"not converting {shape.kind} at {shape.block.name}: {reason}",
             phase="transform",
             remediation=(
                 "rewrite the guarded code so both paths access the same "
                 "locations, or keep it scalar"
             ),
+            record="ifconvert", counters={"ifconvert.declined": 1},
+            event="declined", shape=shape.kind, reason=reason,
         )
-        self.remarks.append(remark)
-        _records.emit_remark(remark)
-        _metrics.add("ifconvert.declined", 1)
-        _records.emit("ifconvert", event="declined", shape=shape.kind,
-                      reason=reason, function=self.func.name)
 
 
 def run_ifconvert(func: Function, mode: str = "on",
-                  target: Optional[TargetCostModel] = None,
-                  remarks: Optional[list[Remark]] = None) -> bool:
+                  target: Optional[TargetCostModel] = None) -> bool:
     """Flatten every convertible hammock/diamond of ``func``.
 
     Returns True when the CFG changed.  ``mode`` is "on" (convert
     whenever legal), "cost" (convert only when the speculated work does
     not exceed the branch-removal savings) or "off" (no-op).  Decline
-    remarks are always streamed to the records sink; pass ``remarks``
-    to additionally collect them (the pipelines feed them into
-    ``CompileResult.remarks`` so ``--remarks`` surfaces declines).
+    remarks go to the compile context
+    (:func:`repro.robustness.diagnostics.current`), which streams them
+    and, in a compile, hands them to ``CompileResult.remarks``.
     """
-    converter = IfConverter(func, mode=mode, target=target)
-    changed = converter.run()
-    if remarks is not None:
-        remarks.extend(converter.remarks)
-    return changed
+    return IfConverter(func, mode=mode, target=target).run()
 
 
 __all__ = ["IfConverter", "IFCONVERT_MODES", "is_speculatable",

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from ..ir.function import Function, Module
 from ..obs.tracing import span
+from ..robustness.diagnostics import compiling
 
 #: A function pass: transforms ``func`` in place, returns True if it
 #: changed anything.
@@ -81,29 +82,29 @@ class PassManager:
                      result: Optional[PipelineResult] = None
                      ) -> PipelineResult:
         result = result if result is not None else PipelineResult()
-        for name, pass_fn in self._passes:
-            # One span per pass ("opt.<name>"); a no-op flag check when
-            # tracing is disabled.
-            with span(f"opt.{name}", function=func.name):
-                if self.guard is not None:
-                    self.guard.run_pass(name, pass_fn, func, result)
-                    continue
-                start = time.perf_counter()
-                changed = pass_fn(func)
-                elapsed = time.perf_counter() - start
-                result.timings.append(PassTiming(name, elapsed, changed))
-                if self.verify_each:
-                    from ..ir.verifier import (
-                        VerificationError,
-                        verify_function,
-                    )
+        with compiling(func.name) as context:
+            for name, pass_fn in self._passes:
+                context.pass_name = name
+                # One span per pass ("opt.<name>"); a no-op flag check
+                # when tracing is disabled.
+                with span(f"opt.{name}", function=func.name):
+                    if self.guard is not None:
+                        self.guard.run_pass(name, pass_fn, func, result)
+                        continue
+                    start = time.perf_counter()
+                    changed = pass_fn(func)
+                    elapsed = time.perf_counter() - start
+                    result.timings.append(PassTiming(name, elapsed, changed))
+                    if self.verify_each:
+                        from ..ir.verifier import (VerificationError,
+                                                   verify_function)
 
-                    try:
-                        verify_function(func)
-                    except VerificationError as error:
-                        raise VerificationError(
-                            f"IR invalid after pass {name!r}: {error}"
-                        ) from error
+                        try:
+                            verify_function(func)
+                        except VerificationError as error:
+                            raise VerificationError(
+                                f"IR invalid after pass {name!r}: {error}"
+                            ) from error
         return result
 
     def run_module(self, module: Module) -> PipelineResult:

@@ -25,7 +25,7 @@ from ..costmodel.tti import TargetCostModel
 from ..ir.function import Function, Module
 from ..obs.tracing import span
 from ..robustness.budget import ModuleMeter
-from ..robustness.diagnostics import Remark
+from ..robustness.diagnostics import DiagnosticEngine, Remark
 from ..robustness.faults import FaultInjector
 from ..robustness.guard import DifferentialOracle, GuardPolicy, PassGuard
 from ..slp.vectorizer import (
@@ -57,8 +57,8 @@ class CompileResult:
     report: VectorizationReport = field(
         default_factory=lambda: VectorizationReport("", "")
     )
-    #: structured diagnostics collected by the guarded driver (rollback,
-    #: budget, miscompile and configuration remarks)
+    #: the function's remarks in emission order (rollback, budget,
+    #: miscompile, plan and decline remarks): its compile context's list
     remarks: list[Remark] = field(default_factory=list)
     #: names of passes whose effects were rolled back ("oracle" marks a
     #: differential-execution rollback to the scalar reference)
@@ -110,8 +110,8 @@ def scalar_pipeline(verify_each: bool = False, guard=None,
     the full-unroll cap; ``loop_vectorize`` additionally partially
     unrolls the loops full unrolling refuses (symbolic bounds, trips
     beyond the cap) so the SLP pass can pack across iterations, with the
-    original loop kept as a scalar epilogue.  Unroll decline remarks are
-    collected on ``manager.unroll_remarks``.
+    original loop kept as a scalar epilogue.  Decline remarks go to the
+    function's compile context.
 
     ``ifconvert`` ("on"/"cost") sequences :func:`repro.opt.ifconvert.
     run_ifconvert` after the CFG is cleaned up and before the post-unroll
@@ -120,13 +120,11 @@ def scalar_pipeline(verify_each: bool = False, guard=None,
     then merges the emptied merge blocks back in.  The default "off"
     reproduces the historical pass sequence exactly.
     """
-    unroll_remarks: list[Remark] = []
-    unroll_target = target if target is not None else skylake_like()
+    target = target if target is not None else skylake_like()
 
     def run_unroll_pass(func: Function) -> bool:
         return run_unroll(func, max_trip_count=unroll_max_trip,
-                          loop_vectorize=loop_vectorize,
-                          target=unroll_target, remarks=unroll_remarks)
+                          loop_vectorize=loop_vectorize, target=target)
 
     manager = (
         PassManager(verify_each=verify_each, guard=guard)
@@ -138,18 +136,9 @@ def scalar_pipeline(verify_each: bool = False, guard=None,
         .add("unroll", run_unroll_pass)
         .add("simplifycfg", run_simplifycfg)
     )
-    #: decline remarks, drained into ``CompileResult.remarks``
-    manager.unroll_remarks = unroll_remarks
     if ifconvert != "off":
-        ifc_target = target if target is not None else skylake_like()
-        collected: list[Remark] = []
-        #: decline remarks, drained into ``CompileResult.remarks``
-        manager.ifconvert_remarks = collected
-
-        def run_ifconvert_pass(func: Function,
-                               _mode=ifconvert, _target=ifc_target) -> bool:
-            return run_ifconvert(func, mode=_mode, target=_target,
-                                 remarks=collected)
+        def run_ifconvert_pass(func: Function) -> bool:
+            return run_ifconvert(func, mode=ifconvert, target=target)
 
         manager.add("ifconvert", run_ifconvert_pass)
         manager.add("simplifycfg-post-ifconvert", run_simplifycfg)
@@ -281,6 +270,9 @@ def _compile(funcs: list[Function], config: VectorizerConfig,
     covered its scalar passes.  Either way the oracle's "pre-slp"
     reference is captured when ``slp`` starts, after scalar
     optimization but before any vector code exists.
+
+    Each function has one compile context, open for all of that and
+    handed to its guard; its remarks are ``CompileResult.remarks``.
     """
     target = target if target is not None else skylake_like()
     if faults is not None:
@@ -291,27 +283,30 @@ def _compile(funcs: list[Function], config: VectorizerConfig,
     results: list[CompileResult] = []
     staged = []
     for func in funcs:
+        context = DiagnosticEngine(func.name, config.name)
         policy = _resolve_guard(
             guard, oracles(func) if oracles is not None else None
         )
-        pass_guard = PassGuard(policy) if policy is not None else None
+        pass_guard = (PassGuard(policy, context) if policy is not None
+                      else None)
         manager = _scalar_passes(config, target, verify_each, pass_guard)
         if faults is not None:
             faults.instrument(manager)
-        with span("compile.scalar", function=func.name,
-                  config=config.name):
-            timing = manager.run_function(func)
-        stage = (func, timing, pass_guard, manager)
+        with context.open():
+            with span("compile.scalar", function=func.name,
+                      config=config.name):
+                timing = manager.run_function(func)
+            if plan_ahead:
+                driver.plan_function(func)
+        stage = (func, timing, pass_guard, context)
         if plan_ahead:
-            driver.plan_function(func)
             staged.append(stage)
         else:
             results.append(_finish(stage, config, driver, faults,
                                    verify_each))
-    if plan_ahead:
-        driver.select()
-        results.extend(_finish(stage, config, driver, faults, verify_each)
-                       for stage in staged)
+    # Module scope selects once, in the first apply's context.
+    results.extend(_finish(stage, config, driver, faults, verify_each)
+                   for stage in staged)
     return results
 
 
@@ -320,14 +315,15 @@ def _finish(stage, config: VectorizerConfig,
             faults: Optional[FaultInjector],
             verify_each: bool) -> CompileResult:
     """``slp`` and ``dce-post`` under the function's guard, then its
-    oracle."""
-    func, timing, pass_guard, scalar = stage
+    oracle, all in the function's compile context."""
+    func, timing, pass_guard, context = stage
     result = CompileResult(
         func, config, timing,
         report=VectorizationReport(func.name, config.name),
+        remarks=context.remarks,
     )
-    with span("compile.function", function=func.name,
-              config=config.name):
+    with context.open(), span("compile.function", function=func.name,
+                              config=config.name):
         if driver is not None:
             manager = PassManager(verify_each=verify_each, guard=pass_guard)
             vectorize = _vector_passes(manager, driver)
@@ -343,11 +339,7 @@ def _finish(stage, config: VectorizerConfig,
                         pass_guard.run_oracle(func)
             finally:
                 pass_guard.finish()
-            result.remarks = pass_guard.diagnostics.remarks
             result.rolled_back = pass_guard.rolled_back
-    result.remarks.extend(scalar.unroll_remarks)
-    result.remarks.extend(getattr(scalar, "ifconvert_remarks", []))
-    result.remarks.extend(result.report.remarks)
     return result
 
 

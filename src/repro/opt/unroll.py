@@ -31,9 +31,9 @@ have exposed straight-line code.  This pass provides them, in two tiers:
   iterations before transforming; unprofitable or unsupported loops stay
   scalar and say why.
 
-Declines are never silent: every loop left scalar emits a structured
-remark (category ``loop-unroll``), a ``loop.unroll.declined`` metric and
-a ``loop.unroll`` record, mirroring the if-converter's diagnostics.
+Declines are never silent: every loop left scalar is one diagnostics
+call — a ``loop-unroll`` remark, a ``loop.unroll`` record and a
+``loop.unroll.declined`` metric — mirroring the if-converter's.
 
 Loop recognition itself lives in :mod:`repro.analysis.loops`; the
 legacy :class:`CountedLoop`/:func:`find_counted_loop` names are
@@ -71,7 +71,7 @@ from ..ir.instructions import (
 from ..ir.values import Constant, Value
 from ..obs import metrics as _metrics
 from ..obs import records as _records
-from ..robustness.diagnostics import Remark, Severity
+from ..robustness import diagnostics
 
 #: refuse to fully unroll loops longer than this (see --unroll-max-trip)
 MAX_TRIP_COUNT = DEFAULT_MAX_TRIP_COUNT
@@ -445,16 +445,15 @@ def plan_loop_vectorize(loop: CountedLoopInfo,
 def run_unroll(func: Function, max_loops: int = 64, *,
                max_trip_count: Optional[int] = None,
                loop_vectorize: bool = False,
-               target: Optional[TargetCostModel] = None,
-               remarks: Optional[list[Remark]] = None) -> bool:
+               target: Optional[TargetCostModel] = None) -> bool:
     """Unroll counted loops until none remain (or a budget).
 
     Constant-trip loops within ``max_trip_count`` (default
     ``MAX_TRIP_COUNT``) unroll fully.  With ``loop_vectorize``, the rest
     are partially unrolled by a target-derived factor behind a cost
     gate, leaving the original loop as a scalar epilogue.  Every loop
-    left scalar gets a decline remark, a ``loop.unroll.declined`` metric
-    and a ``loop.unroll`` record.
+    left scalar gets a decline remark in the compile context, a
+    ``loop.unroll.declined`` metric and a ``loop.unroll`` record.
     """
     cap = DEFAULT_MAX_TRIP_COUNT if max_trip_count is None else max_trip_count
     changed = False
@@ -482,8 +481,7 @@ def run_unroll(func: Function, max_loops: int = 64, *,
                         _metrics.add("loop.unroll.partial", 1)
                         _records.emit(
                             "loop.unroll", event="partial",
-                            reason=f"factor={factor}",
-                            function=func.name, header=header.name,
+                            reason=f"factor={factor}", header=header.name,
                         )
                         changed = progress = True
                         break
@@ -498,7 +496,7 @@ def run_unroll(func: Function, max_loops: int = 64, *,
                     "symbolic trip count; full unrolling needs constant "
                     "bounds (enable --loop-vectorize)"
                 )
-            _decline(func, header, reason, remarks)
+            _decline(header, reason)
             declined.add(id(header))
         if not progress:
             break
@@ -509,35 +507,25 @@ def run_unroll(func: Function, max_loops: int = 64, *,
             continue
         if match_counted_loop(func, natural.header) is None:
             _decline(
-                func, natural.header,
+                natural.header,
                 "non-canonical loop shape (multi-block body, irregular "
                 "induction variable, or loop values used outside)",
-                remarks,
             )
             declined.add(id(natural.header))
     return changed
 
 
-def _decline(func: Function, header: BasicBlock, reason: str,
-             remarks: Optional[list[Remark]]) -> None:
-    remark = Remark(
-        severity=Severity.NOTE,
-        category="loop-unroll",
-        message=f"not unrolling loop at {header.name}: {reason}",
-        function=func.name,
-        pass_name="unroll",
+def _decline(header: BasicBlock, reason: str) -> None:
+    diagnostics.current().note(
+        "loop-unroll", f"not unrolling loop at {header.name}: {reason}",
         phase="transform",
         remediation=(
             "restructure the loop into the canonical counted shape, or "
             "compile with --loop-vectorize / a larger --unroll-max-trip"
         ),
+        record="loop.unroll", counters={"loop.unroll.declined": 1},
+        event="declined", reason=reason, header=header.name,
     )
-    if remarks is not None:
-        remarks.append(remark)
-    _records.emit_remark(remark)
-    _metrics.add("loop.unroll.declined", 1)
-    _records.emit("loop.unroll", event="declined", reason=reason,
-                  function=func.name, header=header.name)
 
 
 __all__ = [

@@ -7,7 +7,10 @@ time limit.  A :class:`Budget` caps the three resources that blow up
 (look-ahead score evaluations, exhaustive-reorder assignments, and
 per-function wall-clock); a :class:`BudgetMeter` tracks consumption for
 one function and records a :class:`BudgetEvent` the first time each cap
-is hit, so the pipeline can surface a remark instead of hanging.
+is hit, so the pipeline can surface a remark instead of hanging.  The
+meters are pure accounting: the SLP driver drains their events and
+reports each exhausted kind once per function, as one diagnostics call
+(remark, ``degrade`` record and counters together).
 
 Exhaustion never aborts compilation: the reorderers degrade to the
 greedy single-pass policy (look-ahead depth 0 behaviour), which is
@@ -17,11 +20,8 @@ always legal — just potentially slower code.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-from ..obs import metrics as _metrics
-from ..obs import records as _records
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,22 @@ class BudgetEvent:
     detail: str
 
 
-class ModuleMeter:
+class _EventLog:
+    """The first :class:`BudgetEvent` of each exhausted kind."""
+
+    def __init__(self):
+        self.events: list[BudgetEvent] = []
+
+    @property
+    def exhausted(self) -> bool:
+        return bool(self.events)
+
+    def _note(self, kind: str, detail: str) -> None:
+        if all(event.kind != kind for event in self.events):
+            self.events.append(BudgetEvent(kind, detail))
+
+
+class ModuleMeter(_EventLog):
     """Whole-compile (module-scope) consumption, shared by the
     :class:`BudgetMeter` of every function in one compile job.
 
@@ -109,13 +124,12 @@ class ModuleMeter:
     """
 
     def __init__(self, budget: Optional[Budget] = None):
+        super().__init__()
         self.budget = budget if budget is not None else Budget()
         self.lookahead_evals = 0
         self.select_subsets = 0
         self.functions_started = 0
-        self.events: list[BudgetEvent] = []
         self._deadline: Optional[float] = None
-        self._tripped: set[str] = set()
 
     def start_function(self) -> None:
         """Called once per function; the first call arms the deadline."""
@@ -174,23 +188,8 @@ class ModuleMeter:
     def exceeded(self) -> bool:
         return self.time_exceeded() or self.evals_exceeded()
 
-    @property
-    def exhausted(self) -> bool:
-        return bool(self.events)
 
-    def _note(self, kind: str, detail: str) -> None:
-        if kind in self._tripped:
-            return
-        self._tripped.add(kind)
-        self.events.append(BudgetEvent(kind, detail))
-        # Publish the degradation into the observability layer (both
-        # helpers are single flag checks when the layer is off).
-        _metrics.add("budget.exhaustions")
-        _metrics.add(f"budget.exhausted.{kind}")
-        _records.emit("degrade", kind=kind, detail=detail)
-
-
-class BudgetMeter:
+class BudgetMeter(_EventLog):
     """Per-function consumption tracker for one :class:`Budget`.
 
     When ``module`` is given, consumption is also charged against the
@@ -200,15 +199,14 @@ class BudgetMeter:
 
     def __init__(self, budget: Optional[Budget] = None,
                  module: Optional[ModuleMeter] = None):
+        super().__init__()
         if budget is None:
             budget = module.budget if module is not None else Budget()
         self.budget = budget
         self.module = module
         self.lookahead_evals = 0
         self.select_subsets = 0
-        self.events: list[BudgetEvent] = []
         self._deadline: Optional[float] = None
-        self._tripped: set[str] = set()
 
     # ------------------------------------------------------------------
 
@@ -329,23 +327,6 @@ class BudgetMeter:
             )
             return False
         return not self.time_exceeded()
-
-    @property
-    def exhausted(self) -> bool:
-        return bool(self.events)
-
-    # ------------------------------------------------------------------
-
-    def _note(self, kind: str, detail: str) -> None:
-        if kind in self._tripped:
-            return
-        self._tripped.add(kind)
-        self.events.append(BudgetEvent(kind, detail))
-        # Publish the degradation into the observability layer (both
-        # helpers are single flag checks when the layer is off).
-        _metrics.add("budget.exhaustions")
-        _metrics.add(f"budget.exhausted.{kind}")
-        _records.emit("degrade", kind=kind, detail=detail)
 
 
 __all__ = ["Budget", "BudgetEvent", "BudgetMeter", "ModuleMeter"]

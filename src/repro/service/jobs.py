@@ -491,16 +491,10 @@ def _oracle_for(job: CompileJob, module: Module, func,
         # mismatch — but say so, instead of silently not verifying.
         if remarks is not None:
             remarks.append(remark_to_dict(Remark(
-                severity=Severity.WARNING,
-                category="oracle",
-                message=(
-                    "differential verification skipped: no runtime "
-                    "value for argument(s) "
-                    + ", ".join(f"%{name}" for name in missing)
-                ),
-                function=func.name,
-                pass_name="oracle",
-                phase="oracle",
+                Severity.WARNING, "oracle",
+                "differential verification skipped: no runtime value for "
+                "argument(s) " + ", ".join(f"%{name}" for name in missing),
+                function=func.name, pass_name="oracle", phase="oracle",
                 remediation="pass --arg NAME=VALUE for every argument",
             )))
         return None
@@ -536,13 +530,10 @@ def _backend_stage(job: CompileJob, module: Module,
     def fallback_remark(function: str, construct: str,
                         detail: str) -> None:
         remarks.append(remark_to_dict(Remark(
-            severity=Severity.NOTE,
-            category="backend",
-            message=(f"compiled tier unavailable ({construct}): "
-                     f"{detail}; runs fall back to the interpreter"),
-            function=function,
-            pass_name="backend",
-            phase="backend",
+            Severity.NOTE, "backend",
+            f"compiled tier unavailable ({construct}): {detail}; runs "
+            "fall back to the interpreter",
+            function=function, pass_name="backend", phase="backend",
             remediation="use --backend=interp to silence, or keep "
                         "auto and accept interpreter speed here",
         )))

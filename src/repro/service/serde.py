@@ -2,10 +2,11 @@
 
 The cache's disk tier and the batch service's determinism guarantees
 both need one canonical byte form for a
-:class:`~repro.slp.vectorizer.VectorizationReport` and its remarks:
+:class:`~repro.slp.vectorizer.VectorizationReport` and a remark:
 ``report_to_json`` sorts keys and uses compact separators, so equality
 of compiles is equality of bytes — the property the parallel-pool
-determinism tests assert.
+determinism tests assert.  :func:`remark_to_dict` is the one remark
+schema; the service builds every remark it stores through it.
 """
 
 from __future__ import annotations
@@ -94,17 +95,16 @@ def report_to_dict(report: VectorizationReport) -> dict[str, Any]:
         "config": report.config,
         "trees": [tree_to_dict(t) for t in report.trees],
         "stats": stats_to_dict(report.stats),
-        "remarks": [remark_to_dict(r) for r in report.remarks],
     }
 
 
 def report_from_dict(data: dict[str, Any]) -> VectorizationReport:
+    # Older entries also kept a copy of the remarks here; it is ignored.
     return VectorizationReport(
         function=data["function"],
         config=data["config"],
         trees=[tree_from_dict(t) for t in data.get("trees", [])],
         stats=stats_from_dict(data.get("stats", {})),
-        remarks=[remark_from_dict(r) for r in data.get("remarks", [])],
     )
 
 

@@ -67,7 +67,8 @@ from .resilience import (
     RUNG_NAMES,
     RUNG_REFUSE,
 )
-from .serde import remark_from_dict, report_from_dict, report_to_json
+from .serde import (remark_from_dict, remark_to_dict, report_from_dict,
+                    report_to_json)
 
 
 @dataclass
@@ -578,42 +579,32 @@ class CompilationService:
             # The artifact is full fidelity, but it executes on the
             # interpreter tier; the remark rides the (cacheable) entry
             # so warm hits surface the degradation too.
-            entry.remarks.append({
-                "severity": Severity.WARNING.value,
-                "category": "backend",
-                "message": f"compiled execution tier shed to the "
-                           f"interpreter after "
-                           f"{', '.join(shed_kinds)}",
-                "function": job.name, "pass_name": "backend",
-                "phase": "backend",
-                "remediation": "inspect the backend-mismatch report, "
-                               "or submit with backend=interp",
-            })
+            entry.remarks.append(_service_remark(
+                job, "backend",
+                f"compiled execution tier shed to the interpreter after "
+                f"{', '.join(shed_kinds)}",
+                remediation="inspect the backend-mismatch report, or "
+                            "submit with backend=interp",
+            ))
         if item.admission_degraded:
-            entry.remarks.append({
-                "severity": Severity.WARNING.value,
-                "category": "admission",
-                "message": "service compile budget exhausted; this job "
-                           "was compiled scalar-only",
-                "function": job.name, "pass_name": "admission",
-                "phase": "admission",
-                "remediation": "raise --max-total-seconds or shrink "
-                               "the batch",
-            })
+            entry.remarks.append(_service_remark(
+                job, "admission",
+                "service compile budget exhausted; this job was compiled "
+                "scalar-only",
+                remediation="raise --max-total-seconds or shrink the "
+                            "batch",
+            ))
         elif item.rung > RUNG_FULL:
             why = ", ".join(item.reasons) or "repeated failures"
-            entry.remarks.append({
-                "severity": Severity.WARNING.value,
-                "category": "resilience",
-                "message": f"degradation ladder: compiled at the "
-                           f"{RUNG_NAMES[item.rung]!r} rung after "
-                           f"{why}",
-                "function": job.name, "pass_name": "resilience",
-                "phase": "admission",
-                "remediation": "raise --job-timeout/--max-retries, or "
-                               "investigate the worker failures in the "
-                               "batch report",
-            })
+            entry.remarks.append(_service_remark(
+                job, "resilience",
+                f"degradation ladder: compiled at the "
+                f"{RUNG_NAMES[item.rung]!r} rung after {why}",
+                phase="admission",
+                remediation="raise --job-timeout/--max-retries, or "
+                            "investigate the worker failures in the "
+                            "batch report",
+            ))
         elif self.cache is not None:
             # Degraded artifacts (admission or ladder) are not the true
             # compile for their key; only full-fidelity results are
@@ -667,6 +658,17 @@ class CompilationService:
         life.stage_seconds.compile += batch.stage_seconds.compile
         life.stage_seconds.store += batch.stage_seconds.store
         life.stage_seconds.rehydrate += batch.stage_seconds.rehydrate
+
+
+def _service_remark(job: CompileJob, category: str, message: str, *,
+                    remediation: str, phase: str = "") -> dict:
+    """A warning about ``job`` from the service stage ``category``, in
+    the one serialized remark schema."""
+    return remark_to_dict(Remark(
+        Severity.WARNING, category, message, function=job.name,
+        pass_name=category, phase=phase or category,
+        remediation=remediation,
+    ))
 
 
 __all__ = ["BatchResult", "CompilationService", "JobResult"]

@@ -46,8 +46,8 @@ from ..ir.basicblock import BasicBlock
 from ..obs import metrics as _metrics
 from ..obs import records as _records
 from ..obs.tracing import span
+from ..robustness import diagnostics
 from ..robustness.budget import BudgetMeter
-from ..robustness.diagnostics import Remark, Severity
 from .builder import BuildStats, GraphBuilder
 from .codegen import VectorCodeGen
 from .cost import GraphCost, compute_graph_cost
@@ -71,6 +71,10 @@ PLAN_SELECT_MODES: tuple[str, ...] = (
 #: subsets the exhaustive selector may visit when no explicit
 #: ``Budget.max_select_subsets`` cap is set
 DEFAULT_SELECT_SUBSETS = 4096
+
+#: the remediation every budget remark carries
+BUDGET_REMEDIATION = ("raise the Budget caps, or accept the "
+                      "greedy/scalar degradation")
 
 
 def claimed_ids(graph: SLPGraph,
@@ -956,16 +960,13 @@ class Applier:
             f"compile-time budget exhausted in block {block.name!r}: "
             + " and ".join(parts) + " left scalar"
         )
-        self._report.remarks.append(Remark(
-            Severity.WARNING, "budget", detail,
-            function=self._report.function, pass_name="slp",
-            phase="budget",
-            remediation="raise the Budget caps, or accept the "
-                        "greedy/scalar degradation",
-        ))
-        _metrics.add("budget.seeds_left_scalar", total)
-        _records.emit("degrade", kind="seed-abort", detail=detail,
-                      block=block.name)
+        diagnostics.current().warning(
+            "budget", detail, phase="budget", remediation=BUDGET_REMEDIATION,
+            record="degrade", kind="seed-abort", detail=detail,
+            block=block.name,
+            counters={"budget.exhausted.seed-abort": 1,
+                      "budget.seeds_left_scalar": total},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -973,12 +974,14 @@ class Applier:
 # ---------------------------------------------------------------------------
 
 
-def record_outcomes(block_plan: BlockPlan, applier: Applier, mode: str,
-                    cost_threshold: int,
+def record_outcomes(block_plan: BlockPlan, applier: Optional[Applier],
+                    mode: str, cost_threshold: int,
                     selection: Optional[Selection] = None) -> None:
     """Classify every enumerated plan against what the applier actually
     did, stream ``select``/``reject`` records, bump ``plan.*`` metrics,
-    and feed the plan sink (``--plan-dump``)."""
+    and feed the plan sink (``--plan-dump``).  Without an applier the
+    block was replaced after planning (a guard rollback swapped in a
+    snapshot's body), and every plan is rejected as ``stale``."""
     sink_active = _records.active_sink() is not None
     plan_sink = _records.active_plan_sink() is not None
     pressure_rejected = (
@@ -987,7 +990,10 @@ def record_outcomes(block_plan: BlockPlan, applier: Applier, mode: str,
     )
     applied = 0
     for plan_id, plan in block_plan.plans.items():
-        outcome, reason = _classify(plan, applier, cost_threshold)
+        if applier is None:
+            outcome, reason = "rejected", "stale"
+        else:
+            outcome, reason = _classify(plan, applier, cost_threshold)
         if outcome != "applied" and plan_id in pressure_rejected:
             reason = "reg-pressure"
         block_plan.outcomes[plan_id] = (outcome, reason)

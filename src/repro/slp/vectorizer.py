@@ -32,6 +32,8 @@ each block through the three phases of :mod:`repro.slp.plan`, and
 
 Afterwards every candidate's fate (applied, or rejected with a reason)
 is reconciled into ``select``/``reject`` records and the plan sink.
+The driver reports into the function's compile context, each exhausted
+budget kind once per function.
 """
 
 from __future__ import annotations
@@ -47,13 +49,13 @@ from ..costmodel.tti import TargetCostModel
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..obs import metrics as _metrics
-from ..obs import records as _records
 from ..obs.tracing import span
 from ..robustness.budget import Budget, BudgetMeter, ModuleMeter
-from ..robustness.diagnostics import Remark, Severity
+from ..robustness.diagnostics import compiling
 from .builder import BuildPolicy, BuildStats
 from .lookahead import LookAheadContext, get_lookahead_score
 from .plan import (
+    BUDGET_REMEDIATION,
     MODULE_SELECT_MODES,
     PLAN_SELECT_MODES,
     Applier,
@@ -192,8 +194,6 @@ class VectorizationReport:
     config: str
     trees: list[TreeRecord] = field(default_factory=list)
     stats: BuildStats = field(default_factory=BuildStats)
-    #: budget / degradation remarks emitted while vectorizing
-    remarks: list[Remark] = field(default_factory=list)
 
     @property
     def vectorized_trees(self) -> list[TreeRecord]:
@@ -212,7 +212,6 @@ class VectorizationReport:
 
     def merge(self, other: "VectorizationReport") -> None:
         self.trees.extend(other.trees)
-        self.remarks.extend(other.remarks)
         self.stats.nodes += other.stats.nodes
         self.stats.multi_nodes += other.stats.multi_nodes
         self.stats.gathers += other.stats.gathers
@@ -254,15 +253,6 @@ def _publish_report_metrics(report: VectorizationReport) -> None:
     _metrics.add("lookahead.evals", stats.lookahead_evals)
 
 
-def _budget_remark(function: str, event) -> Remark:
-    return Remark(
-        Severity.WARNING, "budget", event.detail,
-        function=function, pass_name="slp", phase="budget",
-        remediation="raise the Budget caps, or accept the "
-                    "greedy/scalar degradation",
-    )
-
-
 # ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
@@ -289,6 +279,8 @@ class _PlannedFunction:
     meter: BudgetMeter
     ids: itertools.count
     blocks: list[_PlannedBlock] = field(default_factory=list)
+    #: events of the planning phase's meters (one per block planned)
+    plan_events: list = field(default_factory=list)
 
 
 class ModuleVectorizationDriver:
@@ -350,14 +342,11 @@ class ModuleVectorizationDriver:
         self._planned[func.name] = planned
         if self.module_scope:
             self._unselected.append(planned)
-        context = self._push_context(func)
-        try:
-            with span("slp.module_plan", function=func.name,
-                      config=self.config.name):
-                for block in func.blocks:
-                    planned.blocks.append(self._plan_block(planned, block))
-        finally:
-            _records.restore_context(context)
+        with compiling(func.name, self.config.name, "slp"), \
+                span("slp.module_plan", function=func.name,
+                     config=self.config.name):
+            for block in func.blocks:
+                planned.blocks.append(self._plan_block(planned, block))
 
     def select(self) -> None:
         """Phase 2 under module scope: one selection over every function
@@ -378,17 +367,16 @@ class ModuleVectorizationDriver:
 
     def apply_function(self, func: Function) -> VectorizationReport:
         """Phase 3 for one function: materialize its blocks in order."""
-        if self.module_scope:
-            if func.name not in self._planned:
-                self.plan_function(func)
-            self.select()
-        planned = self._planned.pop(func.name, None)
-        if planned is None:
-            planned = self._start(func)
-        ahead = {id(pb.block): pb for pb in planned.blocks}
-        report, meter = planned.report, planned.meter
-        context = self._push_context(func)
-        try:
+        with compiling(func.name, self.config.name, "slp") as context:
+            if self.module_scope:
+                if func.name not in self._planned:
+                    self.plan_function(func)
+                self.select()
+            planned = self._planned.pop(func.name, None)
+            if planned is None:
+                planned = self._start(func)
+            ahead = {id(pb.block): pb for pb in planned.blocks}
+            report, meter = planned.report, planned.meter
             with span("slp.function", function=func.name,
                       config=self.config.name):
                 for block in func.blocks:
@@ -402,25 +390,38 @@ class ModuleVectorizationDriver:
                     record_outcomes(pb.block_plan, applier,
                                     self.config.plan_select,
                                     self.config.cost_threshold, selection)
-        finally:
-            _records.restore_context(context)
-        if ahead:
-            report.remarks.append(Remark(
-                Severity.WARNING, "plan",
-                "blocks changed after planning (a rollback restored an "
-                "earlier body); planned them again and applied them "
-                "first-fit",
-                function=func.name, pass_name="slp", phase="plan",
-                remediation="see the rollback remark for the failing "
-                            "pass",
-            ))
-        for event in meter.events:
-            report.remarks.append(_budget_remark(func.name, event))
-        # Module-scope selection events surface once, on the first
-        # function whose apply phase runs.
-        for event in self._select_events:
-            report.remarks.append(_budget_remark(func.name, event))
-        self._select_events = []
+            for pb in ahead.values():
+                record_outcomes(pb.block_plan, None, self.config.plan_select,
+                                self.config.cost_threshold)
+            if ahead:
+                context.warning(
+                    "plan",
+                    "blocks changed after planning (a rollback restored "
+                    "an earlier body); planned them again and applied "
+                    "them first-fit",
+                    phase="plan",
+                    remediation="see the rollback remark for the "
+                                "failing pass",
+                )
+            # One budget remark per exhausted kind, from the first meter
+            # that saw it: apply, module selection (surfacing once, on
+            # the first function applied), then planning.  The module
+            # meter reports through the function meter's module* kinds.
+            first: dict = {}
+            for phase, events in (("budget", meter.events),
+                                  ("budget", self._select_events),
+                                  ("plan", planned.plan_events)):
+                for event in events:
+                    first.setdefault(event.kind, (phase, event))
+            self._select_events = []
+            for phase, event in first.values():
+                context.warning(
+                    "budget", event.detail, phase=phase,
+                    remediation=BUDGET_REMEDIATION, record="degrade",
+                    kind=event.kind, detail=event.detail,
+                    counters={"budget.exhaustions": 1,
+                              f"budget.exhausted.{event.kind}": 1},
+                )
         _publish_report_metrics(report)
         return report
 
@@ -429,20 +430,12 @@ class ModuleVectorizationDriver:
     def _start(self, func: Function) -> _PlannedFunction:
         meter = BudgetMeter(self.config.budget, module=self.module_meter)
         meter.start_function()
-        # Block-scope plan ids restart per function and its plans carry
-        # no function name (see _plan_block), as block-scope plan dumps
-        # have always numbered and named them.
+        # Block-scope plan ids restart per function, as block-scope plan
+        # dumps have always numbered them; (function, block, plan_id)
+        # is unique either way.
         ids = self._plan_ids if self.module_scope else itertools.count()
         return _PlannedFunction(
             VectorizationReport(func.name, self.config.name), meter, ids
-        )
-
-    def _push_context(self, func: Function) -> dict:
-        # Ambient record context: deep layers (builder, reorderer,
-        # budget meters) emit decision records without threading names.
-        return _records.push_context(
-            function=func.name, config=self.config.name,
-            **{"pass": "slp"},
         )
 
     def _plan_block(self, planned: _PlannedFunction,
@@ -458,14 +451,14 @@ class ModuleVectorizationDriver:
         aa = AliasAnalysis(ctx.scev)
         seeds = collect_store_seeds(block, ctx.scev, self.target)
         plan_ctx = LookAheadContext(ScalarEvolution())
-        planner = Planner(
-            self.config, self.target, ids=planned.ids,
-            function=planned.report.function if self.module_scope else "",
-        )
+        planner = Planner(self.config, self.target, ids=planned.ids,
+                          function=planned.report.function)
+        phase_meter = planned.meter.phase_meter()
         block_plan = planner.plan_block(
             block, seeds, plan_ctx, AliasAnalysis(plan_ctx.scev),
-            planned.meter.phase_meter(),
+            phase_meter,
         )
+        planned.plan_events.extend(phase_meter.events)
         return _PlannedBlock(block, seeds, block_plan, ctx, aa)
 
     def _selection(self, function: str, pb: _PlannedBlock,

@@ -36,6 +36,7 @@ from repro.opt.unroll import (
     partial_unroll,
     plan_loop_vectorize,
 )
+from repro.robustness import DiagnosticEngine
 from repro.slp import VectorizerConfig
 from tests.conftest import build_kernel
 
@@ -258,9 +259,11 @@ def _run_with_observability(func, **kwargs):
         "loop.unroll.declined").value
     partial_before = metrics.registry().counter(
         "loop.unroll.partial").value
+    context = DiagnosticEngine(func.name)
     try:
-        remarks = []
-        run_unroll(func, remarks=remarks, **kwargs)
+        with context.open("unroll"):
+            run_unroll(func, **kwargs)
+        remarks = context.remarks
     finally:
         records.set_sink(previous)
         metrics.set_publishing(was_publishing)

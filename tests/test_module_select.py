@@ -208,6 +208,21 @@ def test_module_dump_covers_every_candidate_with_verdict():
     assert applied, kernel.name
 
 
+def test_block_scope_plan_dump_names_every_function():
+    """Block-scope plan ids restart per function; the function name
+    keeps each dump entry's (function, block, plan_id) key unique."""
+    plans: list[dict] = []
+    records.set_plan_sink(plans)
+    try:
+        _compile(MODULE_BUDGET_TWIN, "greedy-savings")
+    finally:
+        records.set_plan_sink(None)
+    keys = [(e["function"], e["block"], e["plan_id"]) for e in plans]
+    assert len(keys) == 9
+    assert len(set(keys)) == len(keys)
+    assert all(function for function, _, _ in keys)
+
+
 def test_module_select_record_and_metrics():
     sink = ListSink()
     records.set_sink(sink)

@@ -351,7 +351,7 @@ class TestReset:
         records.set_graph_sink([])
         metrics.set_publishing(True)
         metrics.add("x")
-        records.push_context(function="f")
+        records.enter(records.Context(function="f"))
         assert obs.enabled()
         obs.reset()
         assert not obs.enabled()

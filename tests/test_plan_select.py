@@ -292,7 +292,7 @@ def test_budget_abort_leaves_explicit_remark():
     _, func = build_kernel(OVERLAP_KERNELS[0].source)
     result = compile_function(func, config)
     remarks = [
-        r for r in result.report.remarks
+        r for r in result.remarks
         if r.category == "budget" and "left scalar" in r.message
     ]
     assert remarks, "expected a seed-abort degradation remark"
@@ -307,7 +307,7 @@ def test_select_subset_budget_trips_event():
     _, func = build_kernel(OVERLAP_KERNELS[1].source)
     result = compile_function(func, config)
     remarks = [
-        r for r in result.report.remarks
+        r for r in result.remarks
         if "plan-selection budget" in r.message
     ]
     assert remarks, "expected the select-subset budget remark"

@@ -36,6 +36,8 @@ from repro.ir import (
     verify_function,
 )
 from repro.kernels import ALL_KERNELS
+from repro.obs import records
+from repro.obs.records import ListSink
 from repro.opt import compile_function, compile_module, PassManager
 from repro.opt.pipelines import build_pipeline
 from repro.robustness import (
@@ -261,6 +263,31 @@ class TestPassGuard:
             assert len(replanned) == (plan_select == mode)
         assert outcomes[mode] == outcomes["legacy"]
         assert outcomes[mode][0] > 0
+
+    def test_stale_module_plans_get_a_verdict(self):
+        """The plans a rollback made stale are rejected as ``stale``, so
+        every ``plan`` record still gets exactly one verdict."""
+        module, _ = ALL_KERNELS["453.boy-surface"].build()
+        faults = FaultInjector(
+            FaultSpec("dce-post-unroll", "corrupt-type-clobber"), seed=7,
+        )
+        config = replace(VectorizerConfig.lslp(),
+                         plan_select="module-greedy")
+        sink, plans = ListSink(), []
+        records.set_sink(sink)
+        records.set_plan_sink(plans)
+        try:
+            compile_module(module, config, guard="guarded", faults=faults)
+        finally:
+            records.set_sink(None)
+            records.set_plan_sink(None)
+        planned = [r for r in sink.records if r["type"] == "plan"]
+        verdicts = [r for r in sink.records
+                    if r["type"] in ("select", "reject")]
+        assert len(planned) == len(verdicts) == 5
+        stale = [r for r in verdicts if r.get("reason") == "stale"]
+        assert stale and len(stale) == len(
+            [e for e in plans if e["reason"] == "stale"])
 
     def test_replanned_function_ignores_its_stale_verdicts(self):
         """Faults after every pass: the module verdicts name plan ids

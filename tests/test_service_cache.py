@@ -29,7 +29,9 @@ from repro.service import (
     job_for_source,
     MemoryCache,
 )
+from repro.robustness import Budget
 from repro.service.jobs import PIPELINE_NAME
+from repro.service.serde import report_from_dict, report_to_dict
 from repro.slp.vectorizer import VectorizerConfig
 
 KERNEL = next(iter(ALL_KERNELS.values()))
@@ -211,6 +213,25 @@ def test_schema_bump_invalidates_old_entries(tmp_path):
 # ---------------------------------------------------------------------------
 # Combined tiers
 # ---------------------------------------------------------------------------
+
+
+def test_entry_with_report_remarks_copy_loads(tmp_path):
+    """Entries written when the report kept a second copy of the
+    remarks (``report["remarks"]``) still load; the entry's own list
+    is the one that is served."""
+    budget = Budget(max_seconds=0.0)
+    entry = _entry(_job(VectorizerConfig.lslp().with_budget(budget)))
+    assert entry.remarks and "remarks" not in entry.report
+    entry.report["remarks"] = list(entry.remarks)
+    disk = DiskCache(tmp_path)
+    disk.put(entry.key, entry)
+    loaded = disk.get(entry.key)
+    assert loaded is not None and loaded.remarks == entry.remarks
+    report = report_from_dict(loaded.report)
+    assert report_to_dict(report) == {
+        key: value for key, value in entry.report.items()
+        if key != "remarks"
+    }
 
 
 def test_disk_hit_promotes_to_memory(tmp_path):
