@@ -49,10 +49,10 @@ CONFIG_ALIASES = {"scalar": "o3", "slpnr": "slp-nr"}
 DEFAULT_LOOK_AHEAD = 8
 
 
-def _config_from_args(args, warnings: Optional[list[Remark]] = None
-                      ) -> VectorizerConfig:
-    config = CONFIG_FACTORIES[args.config]()
-    if args.config == "lslp":
+def _configure(name: str, args) -> VectorizerConfig:
+    """The configuration ``name`` with the command's vectorizer, budget
+    and selection knobs applied; the LSLP knobs only reach ``lslp``."""
+    if name == "lslp":
         depth = (args.look_ahead if args.look_ahead is not None
                  else DEFAULT_LOOK_AHEAD)
         config = VectorizerConfig.lslp(
@@ -60,62 +60,53 @@ def _config_from_args(args, warnings: Optional[list[Remark]] = None
             multi_node_max_size=args.multi_node,
         )
     else:
-        ignored = [
-            flag for flag, value in (
-                ("--look-ahead", args.look_ahead),
-                ("--multi-node", args.multi_node),
-            ) if value is not None
-        ]
-        if ignored:
-            remark = DiagnosticEngine(pass_name="driver").warning(
-                "config",
-                f"{'/'.join(ignored)} ignored: config "
-                f"{config.name!r} does not take LSLP knobs",
-                phase="config",
-                remediation="drop the flag(s) or use --config lslp",
-            )
-            if warnings is not None:
-                warnings.append(remark)
-            print(remark.render(), file=sys.stderr)
-    budget = _budget_from_args(args)
-    if budget is not None:
-        config = replace(config, budget=budget)
-    plan_select = getattr(args, "plan_select", "legacy")
-    if plan_select != "legacy":
-        config = replace(config, plan_select=plan_select)
-    weight = getattr(args, "reg_pressure_weight", 0)
-    if weight:
-        config = replace(config, reg_pressure_weight=weight)
-    ifconvert = getattr(args, "ifconvert", "off")
-    if ifconvert != "off":
-        config = replace(config, ifconvert=ifconvert)
-    if getattr(args, "loop_vectorize", False):
-        config = replace(config, loop_vectorize=True)
-    unroll_max_trip = getattr(args, "unroll_max_trip", None)
-    if unroll_max_trip is not None:
-        config = replace(config, unroll_max_trip=unroll_max_trip)
+        config = CONFIG_FACTORIES[name]()
+    return replace(
+        config,
+        budget=_budget_from_args(args),
+        plan_select=args.plan_select,
+        reg_pressure_weight=args.reg_pressure_weight,
+        ifconvert=args.ifconvert,
+        loop_vectorize=args.loop_vectorize,
+        unroll_max_trip=args.unroll_max_trip,
+    )
+
+
+def _config_from_args(args, warnings: Optional[list[Remark]] = None
+                      ) -> VectorizerConfig:
+    config = _configure(args.config, args)
+    ignored = [
+        flag for flag, value in (
+            ("--look-ahead", args.look_ahead),
+            ("--multi-node", args.multi_node),
+        ) if value is not None and args.config != "lslp"
+    ]
+    if ignored:
+        remark = DiagnosticEngine(pass_name="driver").warning(
+            "config",
+            f"{'/'.join(ignored)} ignored: config "
+            f"{config.name!r} does not take LSLP knobs",
+            phase="config",
+            remediation="drop the flag(s) or use --config lslp",
+        )
+        if warnings is not None:
+            warnings.append(remark)
+        print(remark.render(), file=sys.stderr)
     return config
 
 
 def _budget_from_args(args) -> Optional[Budget]:
-    module_evals = getattr(args, "max_module_lookahead_evals", None)
-    module_seconds = getattr(args, "max_module_seconds", None)
-    select_subsets = getattr(args, "max_select_subsets", None)
-    if (args.max_lookahead_evals is None
-            and args.max_reorder_assignments is None
-            and args.max_compile_seconds is None
-            and module_evals is None
-            and module_seconds is None
-            and select_subsets is None):
+    caps = {
+        "max_lookahead_evals": args.max_lookahead_evals,
+        "max_reorder_assignments": args.max_reorder_assignments,
+        "max_seconds": args.max_compile_seconds,
+        "max_module_lookahead_evals": args.max_module_lookahead_evals,
+        "max_module_seconds": args.max_module_seconds,
+        "max_select_subsets": args.max_select_subsets,
+    }
+    if all(cap is None for cap in caps.values()):
         return None
-    return Budget(
-        max_lookahead_evals=args.max_lookahead_evals,
-        max_reorder_assignments=args.max_reorder_assignments,
-        max_seconds=args.max_compile_seconds,
-        max_module_lookahead_evals=module_evals,
-        max_module_seconds=module_seconds,
-        max_select_subsets=select_subsets,
-    )
+    return Budget(**caps)
 
 
 def _guard_from_args(args) -> Optional[GuardPolicy]:
@@ -135,41 +126,56 @@ class _ObsSession:
     """Enables the observability pillars a command asked for and writes
     their artifacts when the command finishes.
 
-    With none of ``--trace-out``/``--remarks-out``/``--stats``/
-    ``--dump-slp-graph`` given, constructing and finishing a session is
-    a no-op: every pillar stays disabled and the compile runs exactly
-    the unobserved path.
+    The session is the command's one record sink.  It routes each
+    record type to exactly one artifact — ``plan.dump`` records to
+    ``--plan-dump``, ``slp.graph`` records to ``--dump-slp-graph``,
+    every other type to ``--remarks-out`` — and takes only the types
+    whose artifact was asked for.  With none of ``--trace-out``/
+    ``--remarks-out``/``--stats``/``--dump-slp-graph``/``--plan-dump``
+    given, constructing and finishing a session is a no-op: every
+    pillar stays disabled and the compile runs exactly the unobserved
+    path.
     """
 
     def __init__(self, args):
-        self.trace_out = getattr(args, "trace_out", None)
-        self.remarks_out = getattr(args, "remarks_out", None)
-        self.stats_mode = getattr(args, "stats", None)
-        self.graph_out = getattr(args, "dump_slp_graph", None)
-        self.plan_out = getattr(args, "plan_dump", None)
+        self.trace_out = args.trace_out
+        self.stats_mode = args.stats
+        self.graph_out = args.dump_slp_graph
+        self.plan_out = args.plan_dump
         self.tracer = None
-        self.sink = None
-        self.graphs = None
-        self.plans = None
+        self.remarks = None
+        self.graphs = obs.ListSink() if self.graph_out else None
+        self.plans = obs.ListSink() if self.plan_out else None
         if self.trace_out:
             self.tracer = obs.tracing.install()
-        if self.remarks_out:
+        if args.remarks_out:
             try:
-                stream = open(self.remarks_out, "w")
+                stream = open(args.remarks_out, "w")
             except OSError as error:
                 raise SystemExit(
-                    f"error: cannot write {self.remarks_out}: {error}"
+                    f"error: cannot write {args.remarks_out}: {error}"
                 )
-            self.sink = obs.JsonlSink(stream)
-            obs.records.set_sink(self.sink)
-        if self.graph_out:
-            self.graphs = []
-            obs.records.set_graph_sink(self.graphs)
-        if self.plan_out:
-            self.plans = []
-            obs.records.set_plan_sink(self.plans)
+            self.remarks = obs.JsonlSink(stream)
+        if (self.remarks is not None or self.graphs is not None
+                or self.plans is not None):
+            obs.records.set_sink(self)
         if self.stats_mode:
             obs.metrics.set_publishing(True)
+
+    # ---- the record sink ----------------------------------------------
+
+    def _route(self, type_: str):
+        if type_ == "plan.dump":
+            return self.plans
+        if type_ == "slp.graph":
+            return self.graphs
+        return self.remarks
+
+    def wants(self, type_: str) -> bool:
+        return self._route(type_) is not None
+
+    def emit(self, record: dict) -> None:
+        self._route(record["type"]).emit(record)
 
     # ------------------------------------------------------------------
 
@@ -182,45 +188,40 @@ class _ObsSession:
         """
         if self.tracer is not None:
             obs.tracing.uninstall()
-            try:
-                with open(self.trace_out, "w") as handle:
-                    handle.write(self.tracer.to_chrome())
-            except OSError as error:
-                raise SystemExit(
-                    f"error: cannot write {self.trace_out}: {error}"
-                )
-        if self.sink is not None:
+            _write_artifact(self.trace_out, self.tracer.to_chrome())
+        if obs.records.active_sink() is self:
             obs.records.set_sink(None)
-            self.sink.close()
+        if self.remarks is not None:
+            self.remarks.close()
         if self.graphs is not None:
-            obs.records.set_graph_sink(None)
-            dot = "\n".join(text for _, _, text in self.graphs)
-            if not self.graphs:
+            graphs = self.graphs.records
+            if not graphs:
                 print("; --dump-slp-graph: no SLP graphs were built",
                       file=sys.stderr)
-            try:
-                with open(self.graph_out, "w") as handle:
-                    handle.write(dot + ("\n" if dot else ""))
-            except OSError as error:
-                raise SystemExit(
-                    f"error: cannot write {self.graph_out}: {error}"
+            # each graph is named by its kind and stream position
+            dot = "\n".join(
+                record["dot"].replace(
+                    "digraph",
+                    f'digraph "{record["function"] or "kernel"}/'
+                    f'{record["kind"]}{index}"', 1,
                 )
+                for index, record in enumerate(graphs)
+            )
+            _write_artifact(self.graph_out, dot + ("\n" if dot else ""))
         if self.plans is not None:
-            obs.records.set_plan_sink(None)
-            if not self.plans:
+            plans = self.plans.records
+            if not plans:
                 print("; --plan-dump: no candidate plans were built",
                       file=sys.stderr)
+            # a plan-dump line is its record without the stream keys
             lines = [
-                json.dumps(entry, sort_keys=True, separators=(",", ":"))
-                for entry in self.plans
+                json.dumps({key: value for key, value in record.items()
+                            if key not in ("type", "pass")},
+                           sort_keys=True, separators=(",", ":"))
+                for record in plans
             ]
-            try:
-                with open(self.plan_out, "w") as handle:
-                    handle.write("\n".join(lines) + ("\n" if lines else ""))
-            except OSError as error:
-                raise SystemExit(
-                    f"error: cannot write {self.plan_out}: {error}"
-                )
+            _write_artifact(self.plan_out,
+                            "\n".join(lines) + ("\n" if lines else ""))
         if profile is not None:
             print(profile.render())
         if self.stats_mode:
@@ -233,8 +234,15 @@ class _ObsSession:
             obs.metrics.reset()
 
 
-def _add_obs_options(parser: argparse.ArgumentParser,
-                     graphs: bool = False) -> None:
+def _write_artifact(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as error:
+        raise SystemExit(f"error: cannot write {path}: {error}")
+
+
+def _add_obs_options(parser: argparse.ArgumentParser) -> None:
     """The observability flags shared by compile/run/batch."""
     parser.add_argument(
         "--trace-out", metavar="FILE", default=None,
@@ -245,24 +253,29 @@ def _add_obs_options(parser: argparse.ArgumentParser,
         "--remarks-out", metavar="FILE.jsonl", default=None,
         help="stream every optimization decision and remark as JSONL",
     )
-    if graphs:
-        parser.add_argument(
-            "--dump-slp-graph", metavar="FILE.dot", default=None,
-            help="write every built SLP graph as Graphviz DOT",
-        )
-        parser.add_argument(
-            "--plan-dump", metavar="FILE.jsonl", default=None,
-            help="write every enumerated candidate plan (with its "
-                 "selection outcome) as canonical JSONL",
-        )
-
-
-def _add_compile_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("source", help="kernel source file (mini-C)")
     parser.add_argument(
-        "--config", choices=sorted(CONFIG_FACTORIES), default="lslp",
-        help="vectorizer configuration (default: lslp)",
+        "--dump-slp-graph", metavar="FILE.dot", default=None,
+        help="write every built SLP graph as Graphviz DOT",
     )
+    parser.add_argument(
+        "--plan-dump", metavar="FILE.jsonl", default=None,
+        help="write every enumerated candidate plan (with its "
+             "selection outcome) as canonical JSONL; a batch writes "
+             "them in job-submission order, and cache hits contribute "
+             "none — use --cache off for a full dump",
+    )
+    parser.add_argument(
+        "--stats", nargs="?", const="text", default=None,
+        choices=("text", "json"),
+        help="print the metrics registry when the command finishes "
+             "(=json: one canonical-JSON line, printed last); compile "
+             "also prints per-function graph-builder statistics",
+    )
+
+
+def _add_vectorizer_options(parser: argparse.ArgumentParser) -> None:
+    """The vectorizer, guard and budget knobs shared by compile/run/
+    batch; a batch applies them to every job."""
     parser.add_argument(
         "--target", default="skylake-like",
         help="cost-model target (default: skylake-like)",
@@ -278,12 +291,13 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--plan-select", choices=PLAN_SELECT_MODES, default="legacy",
         help="candidate-plan selection policy: 'legacy' reproduces the "
-             "greedy first-fit driver byte-for-byte (default); "
+             "greedy first-fit driver byte-for-byte; "
              "'greedy-savings' and 'exhaustive' weigh overlapping "
              "plans by projected savings per block; 'module-greedy' "
              "and 'module-exhaustive' pool every block of every "
              "function and spend one shared selection budget where "
-             "the projected savings are largest",
+             "the projected savings are largest (default: "
+             "%(default)s)",
     )
     parser.add_argument(
         "--reg-pressure-weight", type=int, default=0, metavar="W",
@@ -349,6 +363,17 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
              "consider; one shared pool across the whole module under "
              "the module-* selection modes",
     )
+
+
+def _add_compile_options(parser: argparse.ArgumentParser) -> None:
+    """compile/run: one mini-C source under one configuration."""
+    parser.add_argument("source", help="kernel source file (mini-C)")
+    parser.add_argument(
+        "--config", choices=sorted(CONFIG_FACTORIES), default="lslp",
+        help="vectorizer configuration (default: lslp)",
+    )
+    _add_vectorizer_options(parser)
+    _add_obs_options(parser)
 
 
 def _load_module(path: str):
@@ -562,33 +587,7 @@ def _batch_configs(spec: str, args) -> list:
                 f"{', '.join(sorted(CONFIG_FACTORIES))} "
                 f"(aliases: {', '.join(sorted(CONFIG_ALIASES))})"
             )
-        if name == "lslp":
-            depth = (args.look_ahead if args.look_ahead is not None
-                     else DEFAULT_LOOK_AHEAD)
-            config = VectorizerConfig.lslp(
-                look_ahead_depth=depth,
-                multi_node_max_size=args.multi_node,
-            )
-        else:
-            config = CONFIG_FACTORIES[name]()
-        # Applied unconditionally: the batch default is greedy-savings,
-        # so `--plan-select=legacy` must still override it back.
-        config = replace(
-            config,
-            plan_select=getattr(args, "plan_select", "greedy-savings"),
-        )
-        weight = getattr(args, "reg_pressure_weight", 0)
-        if weight:
-            config = replace(config, reg_pressure_weight=weight)
-        ifconvert = getattr(args, "ifconvert", "off")
-        if ifconvert != "off":
-            config = replace(config, ifconvert=ifconvert)
-        if getattr(args, "loop_vectorize", False):
-            config = replace(config, loop_vectorize=True)
-        unroll_max_trip = getattr(args, "unroll_max_trip", None)
-        if unroll_max_trip is not None:
-            config = replace(config, unroll_max_trip=unroll_max_trip)
-        configs.append(config)
+        configs.append(_configure(name, args))
     if not configs:
         raise SystemExit("error: --configs selected nothing")
     return configs
@@ -603,26 +602,21 @@ def _batch_jobs(args, configs) -> list:
     from .service import job_for_kernel, job_for_module, job_for_source
 
     target = target_by_name(args.target)
-    budget = _budget_from_args(args)
     common = {
         "guard": ("strict" if args.strict
                   else "off" if args.no_guard else "guarded"),
         "verify_runs": args.verify_runs,
         "verify_seed": args.seed,
-        "backend": getattr(args, "backend", "interp"),
+        "backend": args.backend,
     }
-
-    def with_budget(config):
-        return config.with_budget(budget) if budget is not None else config
 
     jobs = []
     source = args.source
     suite_names = {spec.name for spec in SUITE_SPECS}
     if source == "catalog":
         selected = list(ALL_KERNELS.values())
-        only = getattr(args, "kernels", None)
-        if only:
-            names = [name.strip() for name in only.split(",")]
+        if args.kernels:
+            names = [name.strip() for name in args.kernels.split(",")]
             unknown = [n for n in names if n not in ALL_KERNELS]
             if unknown:
                 raise SystemExit(
@@ -632,18 +626,15 @@ def _batch_jobs(args, configs) -> list:
             selected = [ALL_KERNELS[name] for name in names]
         for kernel in selected:
             for config in configs:
-                jobs.append(job_for_kernel(
-                    kernel, with_budget(config), target, **common,
-                ))
+                jobs.append(job_for_kernel(kernel, config, target,
+                                           **common))
     elif source in suite_names:
         from .kernels.suites import suite_by_name
 
         module = build_suite(suite_by_name(source))
         for config in configs:
-            jobs.append(job_for_module(
-                source, module, with_budget(config), target,
-                args={"i": 8}, **common,
-            ))
+            jobs.append(job_for_module(source, module, config, target,
+                                       args={"i": 8}, **common))
     elif os.path.isdir(source):
         files = sorted(
             f for f in os.listdir(source)
@@ -663,10 +654,9 @@ def _batch_jobs(args, configs) -> list:
                     f"error: cannot read {path}: {error}"
                 )
             for config in configs:
-                jobs.append(job_for_source(
-                    filename, text, with_budget(config), target,
-                    args={"i": 8}, **common,
-                ))
+                jobs.append(job_for_source(filename, text, config,
+                                           target, args={"i": 8},
+                                           **common))
     else:
         raise SystemExit(
             f"error: batch source {source!r} is not 'catalog', a known "
@@ -763,11 +753,6 @@ def cmd_batch(args) -> int:
     session = _ObsSession(args)
     configs = _batch_configs(args.configs, args)
     jobs = _batch_jobs(args, configs)
-    if session.plans is not None:
-        # Plans ride each JobOutcome (pool workers cannot stream into
-        # this process's sink); the service re-emits them into the sink
-        # in submission order once the batch completes.
-        jobs = [replace(job, capture_plans=True) for job in jobs]
 
     chaos = None
     if args.chaos:
@@ -778,13 +763,10 @@ def cmd_batch(args) -> int:
         jobs = [replace(job, chaos=chaos) for job in jobs]
 
     telemetry = None
-    if getattr(args, "telemetry_out", None):
+    if args.telemetry_out:
         from .service import TelemetrySession
 
-        # Every job runs under its own obs context so the worker ships
-        # spans/metrics/records home on the outcome for stitching.
         telemetry = TelemetrySession(args.telemetry_out)
-        jobs = [replace(job, capture_telemetry=True) for job in jobs]
 
     cache = None
     if args.cache == "memory":
@@ -952,30 +934,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser("compile", help="compile and print IR")
     _add_compile_options(p_compile)
-    _add_obs_options(p_compile, graphs=True)
     p_compile.add_argument("--print-before", action="store_true",
                            help="also print the IR before vectorization")
     p_compile.add_argument("--report", action="store_true",
                            help="print per-tree vectorization decisions")
-    p_compile.add_argument(
-        "--stats", nargs="?", const="text", default=None,
-        choices=("text", "json"),
-        help="print per-function graph-builder statistics plus the "
-             "metrics registry (=json: one canonical-JSON line)",
-    )
     p_compile.add_argument("--verify-each", action="store_true",
                            help="run the IR verifier after every pass")
     p_compile.set_defaults(handler=cmd_compile)
 
     p_run = sub.add_parser("run", help="compile then interpret")
     _add_compile_options(p_run)
-    _add_obs_options(p_run, graphs=True)
-    p_run.add_argument(
-        "--stats", nargs="?", const="text", default=None,
-        choices=("text", "json"),
-        help="print the metrics registry after the run "
-             "(=json: one canonical-JSON line, printed last)",
-    )
     p_run.add_argument(
         "--profile-interp", action="store_true",
         help="print per-instruction/per-opcode cycle attribution "
@@ -1066,55 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="install the default per-job budget (function + module "
              "caps) on jobs without one",
     )
-    p_batch.add_argument(
-        "--target", default="skylake-like",
-        help="cost-model target (default: skylake-like)",
-    )
-    p_batch.add_argument("--look-ahead", type=int, default=None,
-                         help="LSLP look-ahead depth")
-    p_batch.add_argument("--multi-node", type=int, default=None,
-                         help="LSLP multi-node size limit")
-    p_batch.add_argument(
-        "--plan-select", choices=PLAN_SELECT_MODES,
-        default="greedy-savings",
-        help="candidate-plan selection policy applied to every job "
-             "(default: greedy-savings — the batch-service default; "
-             "pass 'legacy' for the paper-faithful greedy first-fit, "
-             "or a module-* mode for module-wide selection)",
-    )
-    p_batch.add_argument(
-        "--reg-pressure-weight", type=int, default=0, metavar="W",
-        help="selection-time penalty per live vector register beyond "
-             "the target's register file (default: 0)",
-    )
-    p_batch.add_argument(
-        "--ifconvert", choices=IFCONVERT_MODES, default="off",
-        help="flatten if/else hammocks and diamonds into selects "
-             "before SLP in every job: 'on' converts whenever legal, "
-             "'cost' only when profitable (default: off)",
-    )
-    p_batch.add_argument(
-        "--loop-vectorize", action="store_true",
-        help="unroll-and-SLP in every job: partially unroll loops that "
-             "full unrolling refuses, with a scalar epilogue "
-             "(default: off)",
-    )
-    p_batch.add_argument(
-        "--unroll-max-trip", type=int, default=None, metavar="N",
-        help="full-unroll trip-count cap (default: 256)",
-    )
-    p_batch.add_argument(
-        "--plan-dump", metavar="FILE.jsonl", default=None,
-        help="write every candidate plan (with its selection outcome) "
-             "as canonical JSONL, in job-submission order; cache hits "
-             "contribute no plans — use --cache off for a full dump",
-    )
-    p_batch.add_argument("--strict", action="store_true",
-                         help="fail a job fast on any pass failure")
-    p_batch.add_argument("--no-guard", action="store_true",
-                         help="disable per-pass snapshot/rollback")
-    p_batch.add_argument("--remarks", action="store_true",
-                         help="print structured diagnostics per job")
     p_batch.add_argument("--report", action="store_true",
                          help="print one summary line per job")
     p_batch.add_argument(
@@ -1124,44 +1043,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument("--seed", type=int, default=0,
                          help="base seed for --verify-runs")
-    _add_obs_options(p_batch)
-    p_batch.add_argument(
-        "--stats", nargs="?", const="text", default=None,
-        choices=("text", "json"),
-        help="print the metrics registry (cache/service counters) "
-             "after the batch (=json: one canonical-JSON line)",
-    )
     p_batch.add_argument(
         "--min-hit-rate", type=float, default=None, metavar="F",
         help="exit 1 unless the cache hit rate reaches F (0..1); "
              "used by CI's warm-cache smoke",
-    )
-    p_batch.add_argument(
-        "--max-lookahead-evals", type=int, default=None, metavar="N",
-        help="budget: look-ahead score evaluations per function",
-    )
-    p_batch.add_argument(
-        "--max-reorder-assignments", type=int, default=None, metavar="N",
-        help="budget: exhaustive-reorder assignments per multi-node",
-    )
-    p_batch.add_argument(
-        "--max-compile-seconds", type=float, default=None, metavar="S",
-        help="budget: wall-clock seconds of SLP work per function",
-    )
-    p_batch.add_argument(
-        "--max-module-lookahead-evals", type=int, default=None,
-        metavar="N",
-        help="budget: look-ahead evals across one job's whole module",
-    )
-    p_batch.add_argument(
-        "--max-module-seconds", type=float, default=None, metavar="S",
-        help="budget: SLP wall-clock seconds across one job's module",
-    )
-    p_batch.add_argument(
-        "--max-select-subsets", type=int, default=None, metavar="N",
-        help="budget: plan-selection candidates/subsets per job, "
-             "shared across the job's whole module under the module-* "
-             "selection modes",
     )
     p_batch.add_argument(
         "--job-timeout", type=float, default=None, metavar="S",
@@ -1214,7 +1099,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(Prometheus text exposition), metrics.json (canonical "
              "JSON), events.jsonl (job timeline + worker records)",
     )
-    p_batch.set_defaults(handler=cmd_batch)
+    _add_vectorizer_options(p_batch)
+    _add_obs_options(p_batch)
+    # the batch service's default; compile/run keep the paper-faithful
+    # legacy driver
+    p_batch.set_defaults(handler=cmd_batch, plan_select="greedy-savings")
 
     p_report = sub.add_parser(
         "report",

@@ -11,16 +11,18 @@ Four pillars, each zero-cost when disabled (the default):
    (``slp.trees_built``, ``lookahead.evals``, ``cache.disk_hits``,
    ``interp.cycles``, ...).
 3. **Streaming optimization records** (:mod:`~repro.obs.records`) —
-   every vectorization decision and diagnostic remark as one JSONL
-   line with function/pass/config context.
+   every vectorization decision, diagnostic remark, candidate-plan
+   dump and SLP graph as one record with function/pass/config
+   context, through one sink slot.
 4. **Interpreter profiling** (:mod:`~repro.obs.profile`) — per-opcode
    and per-instruction cycle attribution, surfacing the
    hot-instruction histogram behind every figure speedup.
 
-The CLI flags ``--trace-out``, ``--stats[=json]``, ``--remarks-out``
-and ``--profile-interp`` wire the pillars end to end; see
-``docs/OBSERVABILITY.md``.  :func:`reset` returns the whole layer to
-its disabled, empty state (tests call it automatically).
+The CLI flags ``--trace-out``, ``--stats[=json]``, ``--remarks-out``,
+``--plan-dump``, ``--dump-slp-graph`` and ``--profile-interp`` wire
+the pillars end to end; see ``docs/OBSERVABILITY.md``.  :func:`reset`
+returns the whole layer to its disabled, empty state (tests call it
+automatically).
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ from .tracing import Span, Tracer, span
 
 def reset() -> None:
     """Disable and empty every pillar: no tracer, no sink, metric
-    publication off, registry cleared, graph capture off, context
-    cleared.  Between-compile (and between-test) isolation."""
+    publication off, registry cleared, context cleared.
+    Between-compile (and between-test) isolation."""
     tracing.uninstall()
     records.set_sink(None)
-    records.set_graph_sink(None)
-    records.set_plan_sink(None)
     records.enter(records.ROOT)
     metrics.set_publishing(False)
     metrics.reset()
@@ -50,7 +50,6 @@ def enabled() -> bool:
     """True when any pillar is actively collecting."""
     return (tracing.active() is not None
             or records.active_sink() is not None
-            or records.active_plan_sink() is not None
             or metrics.publishing())
 
 

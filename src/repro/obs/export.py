@@ -13,7 +13,7 @@ collect:
   canonical-JSON sibling.  Both are deterministic: name-sorted, stable
   number formatting, no timestamps.
 * **Trace stitching** — pool workers cannot append to the parent's
-  tracer, so each telemetry-captured job serializes its spans with
+  tracer, so under telemetry each job attempt serializes its spans with
   :func:`spans_to_payload` and ships them home on the
   :class:`~repro.service.jobs.JobOutcome`.  The parent's
   :class:`TraceStitcher` merges every process's spans into **one**

@@ -2,11 +2,14 @@
 
 Every vectorization decision — a seed found, a group formed or rejected
 with its cost delta, an operand reordering, a degrade-to-scalar budget
-event — and every structured :class:`~repro.robustness.Remark` streams
-through one process-wide :class:`RecordSink` as a JSON-serializable
-dict.  ``lslp ... --remarks-out FILE.jsonl`` installs a
-:class:`JsonlSink` so each record becomes one canonical-JSON line,
-LLVM's ``-fsave-optimization-record`` equivalent.
+event — every structured :class:`~repro.robustness.Remark`, every
+candidate plan's dump entry and every built SLP graph streams through
+one process-wide sink slot as a JSON-serializable dict.  The CLI
+installs one sink that routes each record type to one artifact:
+``plan.dump`` records to ``--plan-dump``, ``slp.graph`` records to
+``--dump-slp-graph`` and every other type, one canonical-JSON line
+each, to ``--remarks-out`` (LLVM's ``-fsave-optimization-record``
+equivalent).
 
 Decision records go through :func:`emit`; each remark streams once,
 from the :meth:`~repro.robustness.DiagnosticEngine.emit` call that
@@ -14,6 +17,10 @@ makes it.  A record carries ``function``/``pass``/``config`` from the
 ambient :class:`Context` — on the compile path the function's
 :class:`~repro.robustness.DiagnosticEngine`, named for the running pass
 — so deep layers like the operand reorderer need not thread names.
+
+A sink says which types it takes (``wants``), so records that are
+costly to build — a plan's full dump entry, a graph's DOT text — are
+built only after :func:`wants` says the installed sink takes them.
 
 Emission is **zero-cost when disabled**: with no sink installed,
 :func:`emit` is one global load and a ``None`` check.
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Optional, TextIO
+from typing import Any, Iterable, Optional, TextIO
 
 #: known record types and the extra keys each must carry
 RECORD_SCHEMA: dict[str, tuple[str, ...]] = {
@@ -54,17 +61,33 @@ RECORD_SCHEMA: dict[str, tuple[str, ...]] = {
     # (event "declined") or partially unrolled for unroll-and-SLP
     # (event "partial", reason carries the factor)
     "loop.unroll": ("event", "reason", "header"),
+    # the --plan-dump view (repro.slp.plan): one per enumerated
+    # candidate plan, its full TreePlan.to_dict() plus the verdict
+    "plan.dump": ("plan_id", "kind", "block", "outcome", "reason",
+                  "mode"),
+    # the --dump-slp-graph view: one per built SLP graph, as an
+    # anonymous Graphviz digraph the writer names by stream position
+    "slp.graph": ("kind", "dot"),
 }
+
+#: record types that feed an artifact of their own rather than the
+#: ``--remarks-out`` stream; only a sink that asks for them gets them
+DUMP_TYPES: tuple[str, ...] = ("plan.dump", "slp.graph")
 
 #: keys every record carries regardless of type
 COMMON_KEYS: tuple[str, ...] = ("type", "function", "pass")
 
 
 class ListSink:
-    """Collects records in memory (tests, the walkthrough)."""
+    """Collects records in memory (tests, the walkthrough, one job
+    attempt's capture); ``types`` limits it to those record types."""
 
-    def __init__(self):
+    def __init__(self, types: Optional[Iterable[str]] = None):
         self.records: list[dict[str, Any]] = []
+        self.types = None if types is None else frozenset(types)
+
+    def wants(self, type_: str) -> bool:
+        return self.types is None or type_ in self.types
 
     def emit(self, record: dict[str, Any]) -> None:
         self.records.append(record)
@@ -79,6 +102,9 @@ class JsonlSink:
     def __init__(self, stream: TextIO):
         self.stream = stream
         self.emitted = 0
+
+    def wants(self, type_: str) -> bool:
+        return True
 
     def emit(self, record: dict[str, Any]) -> None:
         self.stream.write(
@@ -121,6 +147,13 @@ def active_sink() -> Optional[Any]:
     return _SINK
 
 
+def wants(type_: str) -> bool:
+    """True when the installed sink takes ``type_`` records: sites
+    whose records are costly to build check this first."""
+    sink = _SINK
+    return sink is not None and sink.wants(type_)
+
+
 def current() -> Context:
     """The ambient context records inherit."""
     return _CONTEXT
@@ -135,13 +168,14 @@ def enter(context: Context) -> Context:
 
 
 def emit(type_: str, **fields: Any) -> Optional[dict[str, Any]]:
-    """Stream one record; no-op (one flag check) without a sink.
+    """Stream one record; no-op (one flag check) without a sink, and
+    when the sink does not take ``type_``.
 
     ``function``/``pass``/``config`` default from the ambient context;
     explicit keyword values win.
     """
     sink = _SINK
-    if sink is None:
+    if sink is None or not sink.wants(type_):
         return None
     context = _CONTEXT
     record: dict[str, Any] = {
@@ -156,10 +190,18 @@ def emit(type_: str, **fields: Any) -> Optional[dict[str, Any]]:
     return record
 
 
+def forward(record: dict[str, Any]) -> None:
+    """Stream an already-built record — a job milestone, or one a job
+    attempt captured — into the installed sink, if it takes the type."""
+    sink = _SINK
+    if sink is not None and sink.wants(record["type"]):
+        sink.emit(record)
+
+
 def emit_remark(remark) -> None:
     """Stream one :class:`~repro.robustness.Remark` as a record
     (:meth:`DiagnosticEngine.emit` calls this once per remark)."""
-    if _SINK is None:
+    if not wants("remark"):
         return
     emit(
         "remark",
@@ -189,79 +231,21 @@ def validate_record(record: dict[str, Any]) -> list[str]:
     return errors
 
 
-# ---------------------------------------------------------------------------
-# SLP-graph capture (``lslp run --dump-slp-graph``)
-# ---------------------------------------------------------------------------
-
-#: when set, the vectorizer appends ``(function, kind, dot_text)`` here
-_GRAPH_SINK: Optional[list] = None
-
-
-def set_graph_sink(sink: Optional[list]) -> Optional[list]:
-    global _GRAPH_SINK
-    previous, _GRAPH_SINK = _GRAPH_SINK, sink
-    return previous
-
-
-def capture_graph(kind: str, graph) -> None:
-    """Record one built SLP graph as DOT text (no-op without a sink)."""
-    sink = _GRAPH_SINK
-    if sink is None:
-        return
-    function = _CONTEXT.function
-    name = f"{function or 'kernel'}/{kind}{len(sink)}"
-    sink.append((function, kind, graph.to_dot(name)))
-
-
-# ---------------------------------------------------------------------------
-# Plan capture (``lslp ... --plan-dump``)
-# ---------------------------------------------------------------------------
-
-#: when set, the plan layer appends one dict per enumerated TreePlan,
-#: annotated with its selection outcome
-_PLAN_SINK: Optional[list] = None
-
-
-def set_plan_sink(sink: Optional[list]) -> Optional[list]:
-    global _PLAN_SINK
-    previous, _PLAN_SINK = _PLAN_SINK, sink
-    return previous
-
-
-def active_plan_sink() -> Optional[list]:
-    return _PLAN_SINK
-
-
-def capture_plan(entry: dict) -> None:
-    """Record one plan-dump entry (no-op without a sink); ambient
-    function/config context is filled in like :func:`emit` does."""
-    sink = _PLAN_SINK
-    if sink is None:
-        return
-    entry = dict(entry)
-    entry.setdefault("function", _CONTEXT.function)
-    if _CONTEXT.config:
-        entry.setdefault("config", _CONTEXT.config)
-    sink.append(entry)
-
-
 __all__ = [
     "COMMON_KEYS",
     "Context",
+    "DUMP_TYPES",
     "JsonlSink",
     "ListSink",
     "RECORD_SCHEMA",
     "ROOT",
-    "active_plan_sink",
     "active_sink",
-    "capture_graph",
-    "capture_plan",
     "current",
     "emit",
     "emit_remark",
     "enter",
-    "set_graph_sink",
-    "set_plan_sink",
+    "forward",
     "set_sink",
     "validate_record",
+    "wants",
 ]

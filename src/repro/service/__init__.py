@@ -9,7 +9,8 @@ amortizes it:
   target × pipeline × version) with an in-memory LRU tier and an
   optional on-disk tier under ``.lslp-cache/``.
 * :mod:`jobs` — picklable :class:`CompileJob` descriptions and the one
-  job runner both executors share.
+  job runner both executors share, which ships each attempt's records,
+  metrics and spans home under the batch's :class:`Capture`.
 * :mod:`pool` — serial or multi-process fan-out with a bounded
   submission window.
 * :mod:`admission` — per-job budgets (module scope), a service-level
@@ -20,7 +21,7 @@ amortizes it:
   hangs and cache I/O faults.
 * :mod:`metrics` — the :class:`ServiceStats` snapshot the CLI prints.
 * :mod:`telemetry` — :class:`TelemetrySession`, stitching per-worker
-  spans/metrics/records into one batch-wide artifact directory
+  spans and records into one batch-wide artifact directory
   (``lslp batch --telemetry-out``).
 * :mod:`report` — the ``lslp report`` batch health digest and its
   regression diff.
@@ -54,6 +55,7 @@ from .cache import (
     MemoryCache,
 )
 from .jobs import (
+    Capture,
     CompileJob,
     execute_job,
     job_for_kernel,
@@ -81,6 +83,7 @@ __all__ = [
     "BatchResult",
     "BreakerPolicy",
     "CacheEntry",
+    "Capture",
     "CircuitBreaker",
     "CompilationService",
     "CompileCache",

@@ -86,20 +86,11 @@ class CompileJob:
     verify_seed: int = 0
     #: runtime arguments for the oracle (e.g. the kernel base index)
     args: Optional[dict[str, Any]] = None
-    #: capture plan-dump entries into :attr:`JobOutcome.plans`.  Pure
-    #: observability — excluded from the cache key, because the compiled
-    #: artifact is identical with or without capture.
-    capture_plans: bool = False
-    #: run the attempt under its own obs context and ship the captured
-    #: spans/metrics/records home as :attr:`JobOutcome.telemetry`.
-    #: Excluded from the cache key for the same reason as
-    #: ``capture_plans``.
-    capture_telemetry: bool = False
     #: 0-based execution attempt (the pool stamps retries); excluded
     #: from the cache key — every attempt compiles the same artifact
     attempt: int = 0
     #: armed service fault sites (chaos testing); excluded from the
-    #: cache key for the same reason as ``capture_plans``
+    #: cache key — the compiled artifact is identical with or without
     chaos: Optional[ServiceFaultPlan] = None
     #: execution backend the artifact targets.  ``compiled``/``auto``
     #: emit :mod:`repro.backend` source into the cache entry, and the
@@ -184,6 +175,28 @@ def job_for_module(name: str, module: Module, config: VectorizerConfig,
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Capture:
+    """What each job attempt of a batch ships home on its outcome.
+
+    The service reads the submitting process's obs state into one of
+    these once per batch.  Pool workers cannot publish into that
+    process's sink, registry or tracer, so every attempt — inline or in
+    a worker alike — collects into fresh ones and returns them as
+    :attr:`JobOutcome.captured`; the service merges the metrics and
+    replays the records.
+    """
+
+    #: record types to collect: those the submitting process's sink or
+    #: telemetry session takes
+    records: frozenset = frozenset()
+    #: collect the attempt's metrics (the submitting process publishes)
+    metrics: bool = False
+    #: run the attempt under a ``job.attempt`` root span and ship its
+    #: spans (telemetry sessions only)
+    spans: bool = False
+
+
 @dataclass
 class JobOutcome:
     """What comes back from one executed job, picklable."""
@@ -200,14 +213,12 @@ class JobOutcome:
     budget_exhausted: bool = False
     #: executions this outcome took, counting pool-level retries
     attempts: int = 1
-    #: plan-dump entries (``CompileJob.capture_plans``), in the
-    #: deterministic plan order the compile produced them
-    plans: list[dict[str, Any]] = field(default_factory=list)
-    #: per-attempt obs payload (``CompileJob.capture_telemetry``):
-    #: ``{"pid", "wall_base", "spans", "metrics", "records"}`` — the
-    #: picklable form :class:`~repro.service.telemetry.TelemetrySession`
-    #: stitches into the batch-wide trace and merged registry
-    telemetry: Optional[dict[str, Any]] = None
+    #: the attempt's obs payload under a :class:`Capture`:
+    #: ``{"pid", "records", "metrics", "spans", "wall_base"}`` — the
+    #: picklable form the service replays into the submitting
+    #: process's sink and registry, and a telemetry session stitches
+    #: into the batch-wide trace
+    captured: Optional[dict[str, Any]] = None
 
     def __getstate__(self):
         # The live module (attached for inline callers) is an IR object
@@ -273,19 +284,14 @@ def _traceback_tail(limit: int = 1200) -> str:
     return text.replace("\n", " | ")
 
 
-class _TelemetryCapture:
-    """One job attempt under its own observability context.
+class _Capturing:
+    """One job attempt under its own observability state (see
+    :class:`Capture`).  The previous state comes back on
+    :meth:`finish`, so inline (serial) execution leaves the caller's
+    pillars as they were — which is what makes serial and pool
+    batches publish and stream the same things."""
 
-    Pool workers cannot publish into the submitting process's tracer,
-    registry, or record sink, so a telemetry-captured job swaps in
-    fresh ones, runs under a root ``job.attempt`` span, and ships
-    everything home as a plain-dict payload on the outcome.  The
-    previous obs state is restored on :meth:`finish`, so inline
-    (serial) execution leaves the caller's pillars untouched — which is
-    what makes serial and pool batches publish identical metric sets.
-    """
-
-    def __init__(self, job: CompileJob):
+    def __init__(self, job: CompileJob, capture: Capture):
         from ..obs import metrics as _metrics
         from ..obs import records as _records
         from ..obs import tracing as _tracing
@@ -296,59 +302,66 @@ class _TelemetryCapture:
         self._metrics = _metrics
         self._records = _records
         self._tracing = _tracing
-        self._prev_tracer = _tracing.active()
-        self.tracer = _tracing.install(Tracer())
-        self.registry = MetricsRegistry()
-        self._prev_registry = _metrics.swap_registry(self.registry)
-        self._prev_publish = _metrics.publishing()
-        _metrics.set_publishing(True)
-        self.sink = ListSink()
+        self.sink = ListSink(capture.records)
         self._prev_sink = _records.set_sink(self.sink)
-        self._span = _tracing.span(
-            "job.attempt", job=job.name, config=job.config.name,
-            attempt=job.attempt, backend=job.backend,
-        ).__enter__()
-        # Wall-clock time at this tracer's epoch: perf_counter epochs
-        # are per-process, so the stitcher rebases span offsets onto
-        # the parent timeline through this value.
-        self.wall_base = (
-            time.time() - (time.perf_counter() - self.tracer.epoch)
-        )
+        self.registry = None
+        if capture.metrics:
+            self.registry = MetricsRegistry()
+            self._prev_registry = _metrics.swap_registry(self.registry)
+            self._prev_publish = _metrics.publishing()
+            _metrics.set_publishing(True)
+        self.tracer = None
+        if capture.spans:
+            self._prev_tracer = _tracing.active()
+            self.tracer = _tracing.install(Tracer())
+            self._span = _tracing.span(
+                "job.attempt", job=job.name, config=job.config.name,
+                attempt=job.attempt, backend=job.backend,
+            ).__enter__()
+            # Wall-clock time at this tracer's epoch: perf_counter
+            # epochs are per-process, so the stitcher rebases span
+            # offsets onto the parent timeline through this value.
+            self.wall_base = (
+                time.time() - (time.perf_counter() - self.tracer.epoch)
+            )
 
     def finish(self) -> dict[str, Any]:
         from ..obs.export import spans_to_payload
 
-        self._span.__exit__(None, None, None)
-        if self._prev_tracer is not None:
-            self._tracing.install(self._prev_tracer)
-        else:
-            self._tracing.uninstall()
-        self._metrics.swap_registry(self._prev_registry)
-        self._metrics.set_publishing(self._prev_publish)
-        self._records.set_sink(self._prev_sink)
-        return {
-            "pid": os.getpid(),
-            "wall_base": self.wall_base,
-            "spans": spans_to_payload(self.tracer),
-            "metrics": self.registry.typed_snapshot(),
-            "records": list(self.sink.records),
+        payload: dict[str, Any] = {
+            "pid": os.getpid(), "records": self.sink.records,
+            "metrics": {}, "spans": [], "wall_base": 0.0,
         }
+        self._records.set_sink(self._prev_sink)
+        if self.registry is not None:
+            self._metrics.swap_registry(self._prev_registry)
+            self._metrics.set_publishing(self._prev_publish)
+            payload["metrics"] = self.registry.typed_snapshot()
+        if self.tracer is not None:
+            self._span.__exit__(None, None, None)
+            if self._prev_tracer is not None:
+                self._tracing.install(self._prev_tracer)
+            else:
+                self._tracing.uninstall()
+            payload["spans"] = spans_to_payload(self.tracer)
+            payload["wall_base"] = self.wall_base
+        return payload
 
 
-def execute_job(job: CompileJob) -> JobOutcome:
+def execute_job(job: CompileJob,
+                capture: Optional[Capture] = None) -> JobOutcome:
     """Compile every function of ``job``'s module; never raises.
 
     The guard contains per-pass failures inside the job; this wrapper
     contains everything else (front-end errors, strict-mode escalations)
     so one poisoned kernel cannot take down a batch.  Failures come back
     with a structured :class:`JobError` so a batch report can attribute
-    them without guessing.  Telemetry capture wraps the whole attempt —
-    failure outcomes carry their payload too, so a retried job's earlier
-    attempts still appear in the stitched trace (a *really* killed
-    worker ships nothing; its lane simply ends).
+    them without guessing.  A ``capture`` wraps the whole attempt, so
+    failure outcomes carry their payload too (a *really* killed worker
+    ships nothing; its lane simply ends).
     """
     started = time.perf_counter()
-    capture = _TelemetryCapture(job) if job.capture_telemetry else None
+    capturing = _Capturing(job, capture) if capture is not None else None
     try:
         try:
             _fire_worker_chaos(job)
@@ -373,17 +386,16 @@ def execute_job(job: CompileJob) -> JobOutcome:
         else:
             outcome.worker_seconds = time.perf_counter() - started
     finally:
-        if capture is not None:
-            payload = capture.finish()
-    if capture is not None:
-        outcome.telemetry = payload
+        if capturing is not None:
+            payload = capturing.finish()
+    if capturing is not None:
+        outcome.captured = payload
     return outcome
 
 
 def _execute_job_inner(job: CompileJob) -> JobOutcome:
     # Imported here (not module top) to keep worker start cheap when the
     # pool uses the spawn start method.
-    from ..obs import records as _records
     from ..opt.pipelines import compile_module
 
     module = _load_module(job)
@@ -415,23 +427,11 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
     compile_seconds = 0.0
     static_cost = 0
 
-    # Plan capture rides the outcome: pool workers cannot stream into
-    # the submitting process's sink, so the job collects entries locally
-    # and the service re-emits them in submission order (identical for
-    # the serial and parallel executors by construction).
-    captured: list[dict[str, Any]] = []
-    previous_sink = (
-        _records.set_plan_sink(captured) if job.capture_plans else None
-    )
-    try:
-        with span("job.compile", job=job.name, config=config.name):
-            results = compile_module(
-                module, config, target, guard=guard,
-                module_meter=module_meter, oracles=oracle_for,
-            )
-    finally:
-        if job.capture_plans:
-            _records.set_plan_sink(previous_sink)
+    with span("job.compile", job=job.name, config=config.name):
+        results = compile_module(
+            module, config, target, guard=guard,
+            module_meter=module_meter, oracles=oracle_for,
+        )
     for result in results:
         name = result.function.name
         merged.merge(result.report)
@@ -460,7 +460,6 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
         generated_source=generated_source,
     )
     outcome = JobOutcome(entry=entry)
-    outcome.plans = captured
     outcome.budget_exhausted = (
         module_meter is not None and module_meter.exhausted
     )
@@ -589,6 +588,7 @@ def _backend_stage(job: CompileJob, module: Module,
 __all__ = [
     "BackendMismatchError",
     "BackendUnsupportedError",
+    "Capture",
     "CompileJob",
     "execute_job",
     "JOB_BACKENDS",

@@ -44,7 +44,13 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Optional
 
-from .jobs import CompileJob, execute_job, JobOutcome, mark_pool_worker
+from .jobs import (
+    Capture,
+    CompileJob,
+    execute_job,
+    JobOutcome,
+    mark_pool_worker,
+)
 from .resilience import (
     ERROR_COMPILE,
     ERROR_POOL,
@@ -109,6 +115,7 @@ def run_jobs(items: Iterable[tuple[int, CompileJob]],
              max_pool_rebuilds: int = 8,
              sleep: Callable[[float], None] = time.sleep,
              clock: Callable[[], float] = time.monotonic,
+             capture: Optional[Capture] = None,
              ) -> Iterator[tuple[int, JobOutcome]]:
     """Execute jobs, yielding ``(index, outcome)`` as they complete.
 
@@ -117,17 +124,18 @@ def run_jobs(items: Iterable[tuple[int, CompileJob]],
     expired deadline, an unpicklable result) are retried under
     ``retry``'s budget and finally surface as an outcome with a
     structured error — a batch never raises out of this generator.
+    Every attempt runs under ``capture``, inline or in a worker.
     ``sleep``/``clock`` are injectable for tests.
     """
     policy = retry if retry is not None else RetryPolicy()
     emit = on_event if on_event is not None else (lambda event: None)
     if workers <= 1:
         yield from _run_serial(items, policy, job_timeout, on_depth,
-                               emit, sleep, clock)
+                               emit, sleep, clock, capture)
     else:
         yield from _run_pool(items, workers, window, policy,
                              job_timeout, on_depth, emit,
-                             max_pool_rebuilds, sleep, clock)
+                             max_pool_rebuilds, sleep, clock, capture)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +182,7 @@ def _check_inline_deadline(job: CompileJob, outcome: JobOutcome,
 
 
 def _run_serial(items, policy, job_timeout, on_depth, emit, sleep,
-                clock) -> Iterator[tuple[int, JobOutcome]]:
+                clock, capture) -> Iterator[tuple[int, JobOutcome]]:
     retries: list[_Retry] = []
 
     def depth(running: int) -> None:
@@ -186,7 +194,7 @@ def _run_serial(items, policy, job_timeout, on_depth, emit, sleep,
         queues a retry.  Returns the outcome if final, else None."""
         depth(1)
         payload = replace(job, attempt=attempt) if attempt else job
-        outcome = execute_job(payload)
+        outcome = execute_job(payload, capture)
         outcome = _check_inline_deadline(job, outcome, job_timeout,
                                          attempt)
         if (outcome.error_info is not None
@@ -249,7 +257,7 @@ def _kill_executor(pool) -> None:
 
 
 def _run_pool(items, workers, window, policy, job_timeout, on_depth,
-              emit, max_pool_rebuilds, sleep, clock,
+              emit, max_pool_rebuilds, sleep, clock, capture,
               ) -> Iterator[tuple[int, JobOutcome]]:
     window = max(workers, window)
     iterator = iter(items)
@@ -288,7 +296,7 @@ def _run_pool(items, workers, window, policy, job_timeout, on_depth,
         payload = replace(job, attempt=attempt) if attempt else job
         deadline = (clock() + job_timeout
                     if job_timeout is not None else None)
-        future = pool.submit(execute_job, payload)
+        future = pool.submit(execute_job, payload, capture)
         in_flight[future] = _InFlight(index, job, attempt, deadline)
 
     def fill() -> None:

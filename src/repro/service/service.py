@@ -37,6 +37,7 @@ from typing import Iterator, Optional, Sequence
 
 from ..ir.function import Module
 from ..ir.parser import parse_module
+from ..obs import metrics as _metrics
 from ..obs import records as _records
 from ..obs.tracing import span
 from ..robustness.diagnostics import Remark, Severity
@@ -48,7 +49,7 @@ from .admission import (
     REFUSE,
 )
 from .cache import CacheEntry, CompileCache
-from .jobs import CompileJob, JobOutcome
+from .jobs import Capture, CompileJob, JobOutcome
 from .metrics import ServiceStats
 from .pool import PoolEvent, run_jobs
 from .resilience import (
@@ -89,10 +90,6 @@ class JobResult:
     worker_seconds: float = 0.0
     #: the degradation-ladder rung the artifact was produced at
     rung: str = RUNG_NAMES[RUNG_FULL]
-    #: plan-dump entries captured by the worker
-    #: (``CompileJob.capture_plans``), in deterministic plan order;
-    #: empty for cache hits — plans are not part of the cached artifact
-    plans: list[dict] = field(default_factory=list)
     _module: Optional[Module] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
@@ -235,6 +232,10 @@ class CompilationService:
 
         results: list[Optional[JobResult]] = [None] * len(jobs)
         pending: list[_Pending] = []
+        capture = self._capture()
+        #: per job index, the records of the attempt that produced its
+        #: result
+        replay: dict[int, list[dict]] = {}
 
         # ---- stage 1: cache lookups, in submission order -------------
         telemetry = self.telemetry
@@ -271,7 +272,8 @@ class CompilationService:
                   workers=self.jobs):
             round_no = 0
             while pending and round_no <= RUNG_REFUSE:
-                pending = self._run_round(jobs, pending, results, batch)
+                pending = self._run_round(jobs, pending, results, batch,
+                                          capture, replay)
                 round_no += 1
             # Defensive: the ladder is strictly descending, so this is
             # unreachable — but never drop a job on the floor.
@@ -283,25 +285,49 @@ class CompilationService:
         self._accumulate(batch)
         batch.publish()
         ordered = [r for r in results if r is not None]
-        # Re-emit captured plans into the submitting process's sink in
-        # submission order: pool workers cannot stream into it, and
-        # completion order varies with --jobs, so emission is deferred
-        # until every result is in — the plan dump is byte-identical
-        # across serial and parallel executors by construction.
-        if _records.active_plan_sink() is not None:
-            for result in ordered:
-                for entry in result.plans:
-                    _records.capture_plan(entry)
+        # Completion order varies with --jobs, so the captured records
+        # reach the sink once every result is in, in submission order:
+        # the record stream is byte-identical across serial and
+        # parallel executors by construction.
+        for index in sorted(replay):
+            for record in replay[index]:
+                _records.forward(record)
         return BatchResult(ordered, batch,
                            breaker_states=self.breaker.snapshot())
+
+    def _capture(self) -> Optional[Capture]:
+        """What this batch's job attempts ship home, read once from
+        this process's obs state: the record types its sink or
+        telemetry session takes, metrics when it publishes, spans under
+        telemetry.  ``None`` — the plain job path — with every pillar
+        off."""
+        sink = _records.active_sink()
+        telemetry = self.telemetry
+        publishing = _metrics.publishing()
+        if sink is None and telemetry is None and not publishing:
+            return None
+        takers = [taker for taker in (sink, telemetry)
+                  if taker is not None]
+        return Capture(
+            records=frozenset(
+                type_ for type_ in _records.RECORD_SCHEMA
+                if any(taker.wants(type_) for taker in takers)
+            ),
+            metrics=publishing,
+            spans=telemetry is not None,
+        )
 
     # ------------------------------------------------------------------
 
     def _run_round(self, jobs: Sequence[CompileJob],
                    pending: list[_Pending],
                    results: list[Optional[JobResult]],
-                   batch: ServiceStats) -> list[_Pending]:
-        """One pool pass; returns the jobs that stepped down a rung."""
+                   batch: ServiceStats, capture: Optional[Capture],
+                   replay: dict[int, list[dict]]) -> list[_Pending]:
+        """One pool pass; returns the jobs that stepped down a rung.
+        Every attempt's captured metrics merge into this process's
+        registry; the records of an attempt that produced a result are
+        kept in ``replay``."""
         policy = self.resilience
         telemetry = self.telemetry
         meta: dict[int, _Pending] = {}
@@ -414,10 +440,14 @@ class CompilationService:
                 on_depth=observe_depth, retry=policy.retry,
                 job_timeout=policy.job_timeout,
                 on_event=observe_event,
-                max_pool_rebuilds=policy.max_pool_rebuilds):
+                max_pool_rebuilds=policy.max_pool_rebuilds,
+                capture=capture):
             item = meta[index]
-            if telemetry is not None:
-                telemetry.absorb_outcome(index, item.job, outcome)
+            captured = outcome.captured
+            if captured is not None:
+                _metrics.registry().merge_typed(captured["metrics"])
+                if telemetry is not None:
+                    telemetry.absorb(index, captured)
             fidelity = item.rung == RUNG_FULL and not item.admission_degraded
             if outcome.error:
                 if fidelity or item.probe:
@@ -462,6 +492,8 @@ class CompilationService:
                         rung=RUNG_NAMES[item.rung],
                         attempts=outcome.attempts,
                     )
+            if results[index] is not None and captured is not None:
+                replay[index] = captured["records"]
         return carry
 
     # ------------------------------------------------------------------
@@ -621,7 +653,6 @@ class CompilationService:
             attempts=outcome.attempts,
             worker_seconds=outcome.worker_seconds,
             rung=RUNG_NAMES[item.rung],
-            plans=list(outcome.plans),
             _module=getattr(outcome, "module", None),
         )
 

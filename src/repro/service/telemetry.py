@@ -4,13 +4,15 @@ A :class:`TelemetrySession` is the parent-process half of the
 cross-worker telemetry pipeline (``lslp batch --telemetry-out DIR``):
 
 * it owns the batch-wide :class:`~repro.obs.export.TraceStitcher`,
-  into which every telemetry-captured :class:`~repro.service.jobs.
-  JobOutcome` payload is absorbed — the worker's spans land in that
-  worker's own process lane, its per-job metrics merge into the
-  parent registry, and its records append to the event stream;
+  into which every captured :class:`~repro.service.jobs.JobOutcome`
+  payload is absorbed — the attempt's spans land in its worker's own
+  process lane and its records append to the event stream (the
+  service merges the payload's metrics into the parent registry for
+  every batch, telemetry or not);
 * it records the **job timeline**: every lifecycle milestone the
   service reports (queued → hit/dispatched → retry/timeout → rung /
   backend-shed → completed/failed/refused) becomes one ``job`` record
+  — appended to the event stream and streamed to the record sink —
   *and* one async arrow on the trace's job track, so a whole
   chaos-recovered batch opens as a single Perfetto timeline;
 * :meth:`close` writes the four artifacts — ``trace.json`` (the
@@ -86,21 +88,26 @@ class TelemetrySession:
         """Seconds since the parent tracer's epoch (the trace origin)."""
         return time.perf_counter() - self.tracer.epoch
 
+    def wants(self, type_: str) -> bool:
+        """The event stream takes every record type but the dumps,
+        which have artifacts of their own."""
+        return type_ not in _records.DUMP_TYPES
+
+    def _record(self, offset: float, **fields: Any) -> None:
+        """One ``job`` record, appended to the event stream and
+        streamed, as the same dict, to the record sink."""
+        record = {"type": "job", "pass": "service",
+                  "t_ms": round(offset * 1e3, 3), **fields}
+        self.events.append(record)
+        _records.forward(record)
+
     def job_event(self, index: int, job, event: str,
                   **attrs: Any) -> None:
-        """One job-lifecycle milestone: a ``job`` record in the event
-        stream and an async point on the trace's job track."""
+        """One job-lifecycle milestone: a ``job`` record and an async
+        point on the trace's job track."""
         offset = self.now()
-        record = {
-            "type": "job", "event": event, "index": index,
-            "job": job.name, "config": job.config.name,
-            "function": job.name, "pass": "service",
-            "t_ms": round(offset * 1e3, 3),
-        }
-        record.update(attrs)
-        self.events.append(record)
-        _records.emit("job", event=event, index=index, job=job.name,
-                      config=job.config.name, **attrs)
+        self._record(offset, event=event, index=index, job=job.name,
+                     config=job.config.name, function=job.name, **attrs)
         name = f"job:{job.name}/{job.config.name}"
         if event == "queued":
             self.stitcher.job_begin(index, name, self.wall_base,
@@ -115,31 +122,21 @@ class TelemetrySession:
 
     def service_event(self, event: str, **attrs: Any) -> None:
         """A batch-scoped incident with no single job (pool rebuilds)."""
-        record = {
-            "type": "job", "event": event, "index": -1,
-            "job": "", "config": "", "function": "", "pass": "service",
-            "t_ms": round(self.now() * 1e3, 3),
-        }
-        record.update(attrs)
-        self.events.append(record)
+        self._record(self.now(), event=event, index=-1, job="",
+                     config="", function="", **attrs)
 
     # ------------------------------------------------------------------
 
-    def absorb_outcome(self, index: int, job, outcome) -> None:
-        """Stitch one executed job's telemetry payload: spans into the
-        worker's process lane, metrics into the parent registry,
-        records into the event stream.  No-op for payload-less
-        outcomes (capture off, or the worker really died)."""
-        payload = getattr(outcome, "telemetry", None)
-        if not payload:
-            return
+    def absorb(self, index: int, payload: dict[str, Any]) -> None:
+        """Stitch one job attempt's captured payload: spans into the
+        worker's process lane, records into the event stream."""
         lane = self.stitcher.lane_for(payload["pid"])
         self.stitcher.add_spans(
             lane, payload["spans"], payload["wall_base"],
             extra_attrs={"job_index": index},
         )
-        _metrics.registry().merge_typed(payload["metrics"])
-        self.events.extend(payload["records"])
+        self.events.extend(record for record in payload["records"]
+                           if self.wants(record["type"]))
 
     # ------------------------------------------------------------------
 

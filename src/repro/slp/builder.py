@@ -240,7 +240,7 @@ class GraphBuilder:
         self.stats.reorders += 1
         result = self._reorderer.reorder(operand_groups)
         self.stats.lookahead_evals += result.lookahead_evals
-        if _records.active_sink() is not None:
+        if _records.wants("reorder"):
             _records.emit(
                 "reorder",
                 slots=len(operand_groups),

@@ -194,10 +194,11 @@ class SLPGraph:
             visit(self.root, 0)
         return canonicalize_handles("\n".join(lines))
 
-    def to_dot(self, name: str = "slp") -> str:
-        """Graphviz DOT rendering of the graph (same canonicalized
-        ``%uN`` id-handles as :meth:`dump`, so two compiles of the same
-        kernel export byte-identical DOT).
+    def to_dot(self) -> str:
+        """Graphviz DOT rendering of the graph as an anonymous
+        ``digraph`` (same canonicalized ``%uN`` id-handles as
+        :meth:`dump`, so two compiles of the same kernel export
+        byte-identical DOT).
 
         Node shapes mirror the node taxonomy: boxes for vectorizable
         groups, double boxes ("box3d") for LSLP multi-nodes, dashed
@@ -205,7 +206,7 @@ class SLPGraph:
         operand order.  Load with ``dot -Tpng`` / ``xdot`` to debug
         multi-node and look-ahead decisions visually.
         """
-        lines = [f'digraph "{name}" {{',
+        lines = ["digraph {",
                  "  rankdir=TB;",
                  '  node [fontname="monospace", fontsize=10];']
         ids: dict[int, str] = {}

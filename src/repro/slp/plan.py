@@ -31,8 +31,8 @@ legacy path produces.
 
 Every candidate's fate is observable: ``plan`` records at enumeration,
 ``select``/``reject`` records after reconciliation, ``plan.*`` metrics,
-and full plan dumps through :func:`repro.obs.records.capture_plan`
-(the CLI's ``--plan-dump``).
+and full ``plan.dump`` records (the CLI's ``--plan-dump``) for a sink
+that takes them.
 """
 
 from __future__ import annotations
@@ -426,7 +426,7 @@ class Planner:
 
 
 def _emit_plan_record(plan: TreePlan) -> None:
-    if _records.active_sink() is None:
+    if not _records.wants("plan"):
         return
     _records.emit(
         "plan",
@@ -829,7 +829,8 @@ class Applier:
         with span("slp.build_graph", vl=seed.vector_length):
             graph = builder.build(seed.stores)
         _absorb_stats(self._report.stats, builder.stats)
-        _records.capture_graph("store", graph)
+        if _records.wants("slp.graph"):
+            _records.emit("slp.graph", kind="store", dot=graph.to_dot())
         with span("slp.cost"):
             cost = compute_graph_cost(graph, self.target)
         record = TreeRecord(
@@ -865,7 +866,9 @@ class Applier:
             )
         if plan is None:
             return None
-        _records.capture_graph("reduction", plan.graph)
+        if _records.wants("slp.graph"):
+            _records.emit("slp.graph", kind="reduction",
+                          dot=plan.graph.to_dot())
         record = TreeRecord(
             kind="reduction",
             vector_length=plan.vector_length,
@@ -979,11 +982,12 @@ def record_outcomes(block_plan: BlockPlan, applier: Optional[Applier],
                     selection: Optional[Selection] = None) -> None:
     """Classify every enumerated plan against what the applier actually
     did, stream ``select``/``reject`` records, bump ``plan.*`` metrics,
-    and feed the plan sink (``--plan-dump``).  Without an applier the
-    block was replaced after planning (a guard rollback swapped in a
-    snapshot's body), and every plan is rejected as ``stale``."""
-    sink_active = _records.active_sink() is not None
-    plan_sink = _records.active_plan_sink() is not None
+    and stream ``plan.dump`` records (``--plan-dump``).  Without an
+    applier the block was replaced after planning (a guard rollback
+    swapped in a snapshot's body), and every plan is rejected as
+    ``stale``."""
+    verdicts = _records.wants("select") or _records.wants("reject")
+    dump = _records.wants("plan.dump")
     pressure_rejected = (
         frozenset(selection.pressure_rejected)
         if selection is not None else frozenset()
@@ -999,7 +1003,7 @@ def record_outcomes(block_plan: BlockPlan, applier: Optional[Applier],
         block_plan.outcomes[plan_id] = (outcome, reason)
         if outcome == "applied":
             applied += 1
-        if sink_active:
+        if verdicts:
             if outcome == "applied":
                 _records.emit(
                     "select", plan_id=plan_id, mode=mode,
@@ -1012,12 +1016,12 @@ def record_outcomes(block_plan: BlockPlan, applier: Optional[Applier],
                     kind=plan.kind, vector_length=plan.vector_length,
                     cost=plan.total_cost, block=block_plan.block,
                 )
-        if plan_sink:
+        if dump:
             entry = plan.to_dict()
             entry["outcome"] = outcome
             entry["reason"] = reason or entry["reason"]
             entry["mode"] = mode
-            _records.capture_plan(entry)
+            _records.emit("plan.dump", **entry)
     _metrics.add("plan.selected", applied)
     _metrics.add("plan.rejected", len(block_plan.plans) - applied)
 
@@ -1058,7 +1062,7 @@ def _emit_group(record: TreeRecord, reason: str = "") -> None:
     """Stream one group-formation decision (the ``-Rpass``-style record
     figure analyses key off): kind, width, the cost *delta* versus
     scalar (negative = profitable), and the verdict."""
-    if _records.active_sink() is None:
+    if not _records.wants("group"):
         return
     if not reason:
         if record.vectorized:

@@ -31,7 +31,7 @@ each block through the three phases of :mod:`repro.slp.plan`, and
    IR.
 
 Afterwards every candidate's fate (applied, or rejected with a reason)
-is reconciled into ``select``/``reject`` records and the plan sink.
+is reconciled into ``select``/``reject`` and ``plan.dump`` records.
 The driver reports into the function's compile context, each exhausted
 budget kind once per function.
 """
@@ -273,14 +273,16 @@ class _PlannedBlock:
 
 @dataclass
 class _PlannedFunction:
-    """One function's report, budget meter and planned blocks."""
+    """One function's report, budget meters and planned blocks."""
 
     report: VectorizationReport
     meter: BudgetMeter
+    #: planning's phase-scoped meter: one per function, so its caps
+    #: (``max_lookahead_evals``, ...) bound the whole function's
+    #: planning like the apply meter's bound its apply phase
+    plan_meter: BudgetMeter
     ids: itertools.count
     blocks: list[_PlannedBlock] = field(default_factory=list)
-    #: events of the planning phase's meters (one per block planned)
-    plan_events: list = field(default_factory=list)
 
 
 class ModuleVectorizationDriver:
@@ -410,7 +412,7 @@ class ModuleVectorizationDriver:
             first: dict = {}
             for phase, events in (("budget", meter.events),
                                   ("budget", self._select_events),
-                                  ("plan", planned.plan_events)):
+                                  ("plan", planned.plan_meter.events)):
                 for event in events:
                     first.setdefault(event.kind, (phase, event))
             self._select_events = []
@@ -435,7 +437,8 @@ class ModuleVectorizationDriver:
         # is unique either way.
         ids = self._plan_ids if self.module_scope else itertools.count()
         return _PlannedFunction(
-            VectorizationReport(func.name, self.config.name), meter, ids
+            VectorizationReport(func.name, self.config.name), meter,
+            meter.phase_meter(), ids,
         )
 
     def _plan_block(self, planned: _PlannedFunction,
@@ -445,20 +448,18 @@ class ModuleVectorizationDriver:
         # collected with the apply context so its caches populate as
         # the historical pipeline's did.  The planner gets its own
         # context (shared SCEV caches would leak pre-mutation facts into
-        # apply-time builds) and a phase-scoped meter (planning must not
-        # perturb apply-phase budget accounting).
+        # apply-time builds) and the function's phase-scoped meter
+        # (planning must not perturb apply-phase budget accounting).
         ctx = LookAheadContext(ScalarEvolution())
         aa = AliasAnalysis(ctx.scev)
         seeds = collect_store_seeds(block, ctx.scev, self.target)
         plan_ctx = LookAheadContext(ScalarEvolution())
         planner = Planner(self.config, self.target, ids=planned.ids,
                           function=planned.report.function)
-        phase_meter = planned.meter.phase_meter()
         block_plan = planner.plan_block(
             block, seeds, plan_ctx, AliasAnalysis(plan_ctx.scev),
-            phase_meter,
+            planned.plan_meter,
         )
-        planned.plan_events.extend(phase_meter.events)
         return _PlannedBlock(block, seeds, block_plan, ctx, aa)
 
     def _selection(self, function: str, pb: _PlannedBlock,

@@ -107,3 +107,23 @@ class TestTrace:
                      "--trace-limit", "2"]) == 0
         out = capsys.readouterr().out
         assert "more)" in out
+
+
+class TestSharedFlags:
+    KNOBS = ["--look-ahead", "4", "--multi-node", "3",
+             "--plan-select", "exhaustive", "--reg-pressure-weight", "2",
+             "--ifconvert", "cost", "--loop-vectorize",
+             "--unroll-max-trip", "16", "--max-lookahead-evals", "7",
+             "--max-select-subsets", "3"]
+
+    def test_batch_and_compile_apply_knobs_alike(self):
+        from repro.cli import _batch_configs, _config_from_args, build_parser
+
+        parser = build_parser()
+        compiled = parser.parse_args(["compile", "k.c", *self.KNOBS])
+        batched = parser.parse_args(["batch", "catalog", "--configs",
+                                     "lslp", *self.KNOBS])
+        config = _config_from_args(compiled)
+        assert _batch_configs(batched.configs, batched) == [config]
+        assert config.look_ahead_depth == 4
+        assert config.budget.max_select_subsets == 3

@@ -156,6 +156,28 @@ def test_planning_only_trip_gets_a_plan_phase_remark():
                for r in found)
 
 
+def test_planning_meter_spans_the_function():
+    """Planning's look-ahead cap bounds the whole function, not each
+    block: ``@kernel`` of module-cross-block plans two blocks, and a
+    cap of 5 stops planning at the eval that trips it (it spent 6 evals
+    per block, and collected one planning event per block, when every
+    block had a meter of its own)."""
+    kernel = next(k for k in MODULEWIDE_KERNELS
+                  if k.name == "module-cross-block")
+    config = VectorizerConfig.lslp().with_budget(
+        Budget(max_lookahead_evals=5))
+    results, emitted, _ = _observed_compile(kernel, config)
+    planned = [r for r in emitted
+               if r["type"] == "plan.dump" and r["function"] == "kernel"]
+    assert len({r["block"] for r in planned}) == 2
+    assert sum(r["stats"]["lookahead_evals"] for r in planned) <= 6
+    [result] = [r for r in results if r.function.name == "kernel"]
+    budget = [r for r in result.remarks if r.category == "budget"]
+    assert len(budget) == 1 and "look-ahead" in budget[0].message
+    assert [r["kind"] for r in emitted if r["type"] == "degrade"
+            and r["function"] == "kernel"] == ["lookahead"]
+
+
 def test_engine_is_the_ambient_records_context():
     engine = DiagnosticEngine("kernel", "LSLP")
     sink = ListSink()

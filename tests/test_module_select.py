@@ -15,14 +15,14 @@ Four guarantees:
   dump as ``reg-pressure``, and the apply-phase sweep never resurrects
   a pressure-rejected plan.
 * **Cache keys**: configs differing only in ``plan_select`` or
-  ``reg_pressure_weight`` never share a cache entry; the pure
-  observability ``capture_plans`` flag never splits one.
+  ``reg_pressure_weight`` never share a cache entry.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -59,6 +59,17 @@ def _config(mode, budget=None, weight=0):
     if weight:
         config = replace(config, reg_pressure_weight=weight)
     return config
+
+
+@contextmanager
+def _plan_dump():
+    """The ``plan.dump`` records streamed inside the block."""
+    sink = ListSink(types=("plan.dump",))
+    records.set_sink(sink)
+    try:
+        yield sink.records
+    finally:
+        records.set_sink(None)
 
 
 def _compile(kernel, mode, budget=None, target=None, weight=0):
@@ -141,41 +152,49 @@ def test_module_selection_preserves_semantics(kernel):
 
 def _module_jobs():
     return [
-        job_for_kernel(kernel, _config("module-greedy", SELECT_BUDGET),
-                       capture_plans=True)
+        job_for_kernel(kernel, _config("module-greedy", SELECT_BUDGET))
         for kernel in MODULEWIDE_KERNELS
     ]
 
 
-def _fingerprint(batch):
+def _batch(jobs):
+    with _plan_dump() as plans:
+        batch = CompilationService(jobs=jobs).compile_batch(
+            _module_jobs()
+        )
+    return batch, plans
+
+
+def _fingerprint(run):
+    batch, plans = run
     return [
-        (r.job.name, r.report_json, r.ir_text, r.static_cost,
-         json.dumps(r.plans, sort_keys=True))
+        (r.job.name, r.report_json, r.ir_text, r.static_cost)
         for r in batch.results
-    ]
+    ] + [json.dumps(plans, sort_keys=True)]
+
+
+def _job_plans(job):
+    """The ``plan.dump`` records ``job`` streams compiled on its own."""
+    with _plan_dump() as plans:
+        CompilationService(jobs=1).compile_job(job)
+    return plans
 
 
 def test_module_phase_serial_parallel_identical():
-    serial = CompilationService(jobs=1).compile_batch(_module_jobs())
-    parallel = CompilationService(jobs=4).compile_batch(_module_jobs())
+    serial = _batch(1)
+    parallel = _batch(4)
     assert _fingerprint(serial) == _fingerprint(parallel)
 
 
 def test_batch_plan_dump_reemitted_in_submission_order():
-    """Worker-captured plan entries reach the active plan sink after
-    the batch, in submission order — so ``--plan-dump`` through the
-    pool is byte-identical to a serial run."""
+    """Captured plan entries reach the sink after the batch, in
+    submission order — so ``--plan-dump`` through the pool is
+    byte-identical to a serial run."""
     streams = []
     for jobs in (1, 4):
-        sink: list[dict] = []
-        records.set_plan_sink(sink)
-        try:
-            batch = CompilationService(jobs=jobs).compile_batch(
-                _module_jobs()
-            )
-        finally:
-            records.set_plan_sink(None)
-        expected = [entry for r in batch.results for entry in r.plans]
+        batch, sink = _batch(jobs)
+        expected = [entry for r in batch.results
+                    for entry in _job_plans(r.job)]
         assert sink == expected
         assert sink, "module mode must dump candidate plans"
         streams.append(json.dumps(sink, sort_keys=True))
@@ -189,12 +208,8 @@ def test_batch_plan_dump_reemitted_in_submission_order():
 
 def test_module_dump_covers_every_candidate_with_verdict():
     kernel = MODULEWIDE_KERNELS[0]
-    plans: list[dict] = []
-    records.set_plan_sink(plans)
-    try:
+    with _plan_dump() as plans:
         _compile(kernel, "module-greedy", SELECT_BUDGET)
-    finally:
-        records.set_plan_sink(None)
     assert plans
     seen = set()
     for entry in plans:
@@ -211,12 +226,8 @@ def test_module_dump_covers_every_candidate_with_verdict():
 def test_block_scope_plan_dump_names_every_function():
     """Block-scope plan ids restart per function; the function name
     keeps each dump entry's (function, block, plan_id) key unique."""
-    plans: list[dict] = []
-    records.set_plan_sink(plans)
-    try:
+    with _plan_dump() as plans:
         _compile(MODULE_BUDGET_TWIN, "greedy-savings")
-    finally:
-        records.set_plan_sink(None)
     keys = [(e["function"], e["block"], e["plan_id"]) for e in plans]
     assert len(keys) == 9
     assert len(set(keys)) == len(keys)
@@ -260,14 +271,10 @@ def test_pressure_rejection_on_small_register_file(mode):
     estimate exceeds the file is rejected with an explicit
     ``reg-pressure`` verdict and the sweep leaves the block scalar."""
     kernel = OVERLAP_KERNELS[0]
-    plans: list[dict] = []
-    records.set_plan_sink(plans)
-    try:
+    with _plan_dump() as plans:
         _, cost, vectorized = _compile(kernel, mode,
                                        target=few_registers(),
                                        weight=100)
-    finally:
-        records.set_plan_sink(None)
     assert cost == 0 and vectorized == 0
     reasons = {e["reason"] for e in plans
                if e["outcome"] == "rejected"}
@@ -286,13 +293,9 @@ def test_pressure_weight_zero_is_pressure_blind():
 
 
 def test_pressure_excess_zero_on_big_register_file():
-    plans: list[dict] = []
-    records.set_plan_sink(plans)
-    try:
+    with _plan_dump() as plans:
         _compile(OVERLAP_KERNELS[0], "greedy-savings",
                  target=skylake_like(), weight=100)
-    finally:
-        records.set_plan_sink(None)
     assert plans
     for entry in plans:
         assert entry["reg_pressure"] >= 1
@@ -320,14 +323,6 @@ def test_cache_key_covers_selection_knobs():
         kernel, replace(VectorizerConfig.lslp(), reg_pressure_weight=2)
     )
     assert weighted.cache_key() not in keys
-
-
-def test_cache_key_ignores_plan_capture():
-    kernel = list(ALL_KERNELS.values())[0]
-    config = _config("module-greedy", SELECT_BUDGET)
-    plain = job_for_kernel(kernel, config)
-    captured = job_for_kernel(kernel, config, capture_plans=True)
-    assert plain.cache_key() == captured.cache_key()
 
 
 # ---------------------------------------------------------------------------

@@ -247,14 +247,16 @@ class TestInterpProfile:
 
 class TestGraphDot:
     def _graph(self):
-        captured = []
-        records.set_graph_sink(captured)
+        sink = ListSink(types=("slp.graph",))
+        records.set_sink(sink)
         try:
             _, func = build_kernel(KERNEL)
             compile_function(func, VectorizerConfig.lslp(),
                              skylake_like())
         finally:
-            records.set_graph_sink(None)
+            records.set_sink(None)
+        captured = [(r["function"], r["kind"], r["dot"])
+                    for r in sink.records]
         assert captured
         return captured[0]
 
@@ -348,7 +350,6 @@ class TestReset:
     def test_reset_disables_everything(self):
         tracing.install()
         records.set_sink(ListSink())
-        records.set_graph_sink([])
         metrics.set_publishing(True)
         metrics.add("x")
         records.enter(records.Context(function="f"))

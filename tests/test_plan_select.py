@@ -10,7 +10,7 @@ Two halves:
 * **Selection**: ``greedy-savings`` never produces a worse total static
   cost than ``legacy`` (and ``exhaustive`` never worse than
   ``greedy-savings``), every candidate plan is visible through the
-  plan/select/reject records and the plan sink, and the budget knobs
+  plan/select/reject and plan.dump records, and the budget knobs
   (seed-abort remark, plan-selection subset cap) surface as remarks.
 """
 
@@ -254,8 +254,6 @@ def test_selection_preserves_semantics():
 def test_plan_records_and_sink_cover_every_candidate():
     sink = ListSink()
     records.set_sink(sink)
-    plans: list[dict] = []
-    records.set_plan_sink(plans)
     try:
         config = replace(VectorizerConfig.lslp(),
                          plan_select="greedy-savings")
@@ -263,7 +261,7 @@ def test_plan_records_and_sink_cover_every_candidate():
         compile_function(func, config)
     finally:
         records.set_sink(None)
-        records.set_plan_sink(None)
+    plans = [r for r in sink.records if r["type"] == "plan.dump"]
     types = {r["type"] for r in sink.records}
     assert {"plan", "select", "reject"} <= types
     plan_ids = [r["plan_id"] for r in sink.records if r["type"] == "plan"]

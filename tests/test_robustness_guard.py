@@ -273,14 +273,13 @@ class TestPassGuard:
         )
         config = replace(VectorizerConfig.lslp(),
                          plan_select="module-greedy")
-        sink, plans = ListSink(), []
+        sink = ListSink()
         records.set_sink(sink)
-        records.set_plan_sink(plans)
         try:
             compile_module(module, config, guard="guarded", faults=faults)
         finally:
             records.set_sink(None)
-            records.set_plan_sink(None)
+        plans = [r for r in sink.records if r["type"] == "plan.dump"]
         planned = [r for r in sink.records if r["type"] == "plan"]
         verdicts = [r for r in sink.records
                     if r["type"] in ("select", "reject")]

@@ -175,7 +175,7 @@ def test_timed_out_jobs_land_on_the_ladder_with_remark_and_metric(
 
     real = pool_module.execute_job
 
-    def runner(job):
+    def runner(job, capture=None):
         if job.config.enabled:
             error = JobError(kind=ERROR_TIMEOUT, message="deadline",
                              job_name=job.name,
@@ -183,7 +183,7 @@ def test_timed_out_jobs_land_on_the_ladder_with_remark_and_metric(
                              attempt=job.attempt)
             return JobOutcome(entry=None, error=error.render(),
                               error_info=error)
-        return real(job)
+        return real(job, capture)
 
     monkeypatch.setattr(pool_module, "execute_job", runner)
     batch = _service(

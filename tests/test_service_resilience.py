@@ -343,7 +343,7 @@ def _flaky_runner(monkeypatch, fail_when):
 
     calls = []
 
-    def runner(job):
+    def runner(job, capture=None):
         calls.append(job)
         if fail_when(job):
             error = JobError(kind=ERROR_WORKER_CRASHED,
@@ -353,7 +353,7 @@ def _flaky_runner(monkeypatch, fail_when):
                              attempt=job.attempt)
             return JobOutcome(entry=None, error=error.render(),
                               error_info=error)
-        return execute_job(job)
+        return execute_job(job, capture)
 
     monkeypatch.setattr(pool_module, "execute_job", runner)
     return calls

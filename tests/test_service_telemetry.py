@@ -14,6 +14,7 @@ from repro import obs
 from repro.costmodel.targets import skylake_like
 from repro.kernels.catalog import ALL_KERNELS
 from repro.obs import metrics as obs_metrics
+from repro.obs.records import RECORD_SCHEMA
 from repro.robustness import ServiceFaultPlan, ServiceFaultSpec
 from repro.obs.validate import (
     validate_chrome_trace,
@@ -22,6 +23,7 @@ from repro.obs.validate import (
     validate_stats_json,
 )
 from repro.service import (
+    Capture,
     CompilationService,
     CompileCache,
     execute_job,
@@ -37,12 +39,14 @@ from repro.slp.vectorizer import VectorizerConfig
 KERNELS = list(ALL_KERNELS.values())[:2]
 CONFIGS = [VectorizerConfig.lslp()]
 RETRY = RetryPolicy(max_retries=2, backoff_base=0.005, backoff_cap=0.02)
+#: what a telemetry session's batch captures
+CAPTURE = Capture(records=frozenset(RECORD_SCHEMA), metrics=True,
+                  spans=True)
 
 
 def _jobs(chaos=None, kernels=KERNELS, configs=CONFIGS):
     jobs = [
-        replace(job_for_kernel(kernel, config, skylake_like()),
-                capture_telemetry=True)
+        job_for_kernel(kernel, config, skylake_like())
         for kernel in kernels for config in configs
     ]
     if chaos is not None:
@@ -137,20 +141,14 @@ def test_trace_places_worker_spans_in_worker_lanes(tmp_path):
     assert all("job_index" in event["args"] for event in attempts)
 
 
-def test_capture_telemetry_is_outside_the_cache_key():
-    job = job_for_kernel(KERNELS[0], CONFIGS[0], skylake_like())
-    assert (replace(job, capture_telemetry=True).cache_key()
-            == job.cache_key())
-
-
 def test_failed_attempt_still_ships_its_telemetry_payload():
     plan = ServiceFaultPlan(
         specs=(ServiceFaultSpec(site="worker-kill", rate=1.0),),
         seed=0,
     )
-    outcome = execute_job(_jobs(plan)[0])
+    outcome = execute_job(_jobs(plan)[0], CAPTURE)
     assert outcome.error
-    payload = outcome.telemetry
+    payload = outcome.captured
     assert payload is not None
     assert payload["pid"] == os.getpid()
     assert any(span["name"] == "job.attempt"
@@ -161,9 +159,9 @@ def test_execute_job_capture_restores_obs_globals():
     from repro.obs import records as obs_records
     from repro.obs import tracing as obs_tracing
 
-    outcome = execute_job(_jobs()[0])
+    outcome = execute_job(_jobs()[0], CAPTURE)
     assert outcome.entry is not None
-    assert outcome.telemetry is not None
+    assert outcome.captured is not None
     assert obs_tracing.active() is None
     assert not obs_metrics.publishing()
     assert len(obs_metrics.registry()) == 0
