@@ -789,7 +789,6 @@ def cmd_batch(args) -> int:
                           seed=args.chaos_seed),
         job_timeout=args.job_timeout,
         breaker=BreakerPolicy(failure_threshold=args.breaker_threshold),
-        ladder=not args.no_ladder,
     )
     service = CompilationService(cache=cache, jobs=args.jobs,
                                  admission=admission,
@@ -1068,11 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--breaker-threshold", type=int, default=3, metavar="N",
         help="consecutive full-fidelity failures that trip a config "
              "shard's circuit breaker (default: 3; 0 disables it)",
-    )
-    p_batch.add_argument(
-        "--no-ladder", action="store_true",
-        help="surface exhausted retries as errors instead of stepping "
-             "down the degradation ladder",
     )
     p_batch.add_argument(
         "--chaos", default=None, metavar="SPEC",

@@ -51,7 +51,7 @@ RECORD_SCHEMA: dict[str, tuple[str, ...]] = {
     "module_select": ("mode", "candidates", "selected"),
     # service telemetry job timeline (repro.service.telemetry): one per
     # lifecycle milestone — queued, hit, dispatched, retry, timeout,
-    # rung, backend-shed, completed, failed, refused
+    # rung (one per shed step), completed, failed, refused
     "job": ("event", "index", "job", "config"),
     # if-conversion (repro.opt.ifconvert): one per matched hammock or
     # diamond — event is "converted" or "declined" (reason set on

@@ -12,13 +12,14 @@ amortizes it:
   job runner both executors share, which ships each attempt's records,
   metrics and spans home under the batch's :class:`Capture`.
 * :mod:`pool` — serial or multi-process fan-out with a bounded
-  submission window.
-* :mod:`admission` — per-job budgets (module scope), a service-level
-  wall budget, and graceful degradation to scalar-only compilation.
-* :mod:`resilience` — retry/backoff policy, the degradation ladder
-  (full → reduced → scalar → refuse), and the per-config-shard circuit
-  breaker that keep a long-lived service alive through worker crashes,
-  hangs and cache I/O faults.
+  submission window; every attempt's payload ships home, retried or
+  not.
+* :mod:`resilience` — the admission policy (bounded window, per-job
+  budgets, a service wall budget), retry/backoff, the per-config-shard
+  circuit breaker, and the one degradation ladder (full → reduced →
+  scalar → refuse) that the wall budget, an open breaker, spent
+  retries and backend failures all shed jobs down through
+  :func:`~repro.service.resilience.step_down`.
 * :mod:`metrics` — the :class:`ServiceStats` snapshot the CLI prints.
 * :mod:`telemetry` — :class:`TelemetrySession`, stitching per-worker
   spans and records into one batch-wide artifact directory
@@ -45,7 +46,6 @@ Quickstart::
     print(batch.stats.render())
 """
 
-from .admission import AdmissionController, AdmissionPolicy
 from .cache import (
     CacheEntry,
     CompileCache,
@@ -67,6 +67,7 @@ from .jobs import (
 from .metrics import ServiceStats, StageSeconds
 from .pool import PoolEvent, run_jobs
 from .resilience import (
+    AdmissionPolicy,
     BreakerPolicy,
     CircuitBreaker,
     JobError,
@@ -78,7 +79,6 @@ from .service import BatchResult, CompilationService, JobResult
 from .telemetry import TELEMETRY_ARTIFACTS, TelemetrySession
 
 __all__ = [
-    "AdmissionController",
     "AdmissionPolicy",
     "BatchResult",
     "BreakerPolicy",

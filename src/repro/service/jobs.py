@@ -7,12 +7,12 @@ guard mode, and the oracle's verify settings.  Everything is picklable,
 so a job can cross a process boundary to a pool worker unchanged.
 
 :func:`execute_job` is the single compilation path used by *both* the
-serial and the parallel executors (determinism by construction): it runs
-every function of the job's module through
-:func:`repro.opt.pipelines.compile_function` inside the PR 1 guard, all
-functions sharing one module-scope :class:`ModuleMeter`, and returns a
-:class:`JobOutcome` whose :class:`CacheEntry` is exactly what the cache
-stores.
+serial and the parallel executors (determinism by construction): one
+:func:`repro.opt.pipelines.compile_module` call — the guarded compile
+loop ``lslp compile`` runs — compiles every function of the job's
+module, all sharing one module-scope :class:`ModuleMeter`, and it
+returns a :class:`JobOutcome` whose :class:`CacheEntry` is exactly what
+the cache stores.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import time
 import traceback as _traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..costmodel.tti import TargetCostModel, TargetDescription
@@ -134,10 +134,6 @@ class CompileJob:
             extra["emit_version"] = emit.EMIT_VERSION
         return compute_key(kind, text, self.config, target,
                            pipeline=PIPELINE_NAME, extra=extra)
-
-    def degraded(self) -> "CompileJob":
-        """This job with vectorization disabled (admission fallback)."""
-        return replace(self, config=replace(self.config, enabled=False))
 
 
 def job_for_kernel(kernel: Kernel, config: VectorizerConfig,

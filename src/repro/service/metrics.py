@@ -36,10 +36,10 @@ class ServiceStats:
     #: jobs that actually ran the pass pipeline (== cold compiles);
     #: a fully warm batch performs zero vectorizer invocations
     vectorizer_invocations: int = 0
-    #: jobs compiled scalar-only because admission ran out of budget
+    #: jobs the service wall budget shed to the scalar rung
     degraded: int = 0
-    #: jobs refused outright (admission with degradation disabled, or
-    #: the degradation ladder bottoming out)
+    #: jobs the degradation ladder refused: no rung below the one that
+    #: shed them changes the compile
     refused: int = 0
     #: jobs that failed outside the guard (front-end errors, strict mode)
     errors: int = 0
@@ -63,8 +63,6 @@ class ServiceStats:
     degrade_reduced: int = 0
     #: ladder steps down to the *scalar* rung
     degrade_scalar: int = 0
-    #: jobs the ladder refused after every rung failed
-    degrade_refused: int = 0
     #: circuit-breaker transitions and probes
     breaker_opened: int = 0
     breaker_closed: int = 0
@@ -126,7 +124,6 @@ class ServiceStats:
         _metrics.add("service.pool_rebuilds", self.pool_rebuilds)
         _metrics.add("service.degrade.reduced", self.degrade_reduced)
         _metrics.add("service.degrade.scalar", self.degrade_scalar)
-        _metrics.add("service.degrade.refused", self.degrade_refused)
         _metrics.add("service.breaker.opened", self.breaker_opened)
         _metrics.add("service.breaker.closed", self.breaker_closed)
         _metrics.add("service.breaker.probes", self.breaker_probes)
@@ -168,7 +165,7 @@ class ServiceStats:
         ]
         if (self.retries or self.timeouts or self.pool_rebuilds
                 or self.degrade_reduced or self.degrade_scalar
-                or self.degrade_refused or self.breaker_opened
+                or self.refused or self.breaker_opened
                 or self.backend_shed):
             lines.append(
                 f"resilience: {self.retries} retry(ies) "
@@ -177,7 +174,7 @@ class ServiceStats:
                 f"{self.pool_rebuilds} pool rebuild(s); "
                 f"ladder: {self.degrade_reduced} reduced, "
                 f"{self.degrade_scalar} scalar, "
-                f"{self.degrade_refused} refused; "
+                f"{self.refused} refused; "
                 f"breaker: {self.breaker_opened} opened, "
                 f"{self.breaker_closed} closed, "
                 f"{self.breaker_probes} probe(s), "

@@ -32,7 +32,9 @@ failure modes:
 ``on_depth`` observes the true scheduling depth — in-flight plus the
 retry backlog — after every change, so queue-depth high-water stats
 mean something even at ``--jobs=1``.  ``on_event`` observes retries,
-timeouts and rebuilds for the service's metrics.
+timeouts and rebuilds for the service's metrics; a retry event carries
+the retried attempt's captured payload, so every attempt that ran ships
+home, whether the pool retried it or yielded it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ class PoolEvent:
     attempt: int = 0     #: retry-budget units spent after this incident
     delay: float = 0.0   #: backoff before the rescheduled attempt
     detail: str = ""
+    #: a retried attempt's :attr:`JobOutcome.captured` payload
+    captured: Optional[dict] = None
 
 
 @dataclass
@@ -143,20 +147,30 @@ def run_jobs(items: Iterable[tuple[int, CompileJob]],
 # ---------------------------------------------------------------------------
 
 
-def _attempt_cost(outcome: JobOutcome, policy: RetryPolicy) -> int:
-    info = outcome.error_info
-    if info is not None and info.kind == ERROR_TIMEOUT:
-        return policy.timeout_attempt_cost
-    return 1
-
-
-def _should_retry(outcome: JobOutcome, spent_after: int,
-                  policy: RetryPolicy) -> bool:
-    if not outcome.error:
-        return False
+def _dispose(outcome: JobOutcome, index: int, job: CompileJob,
+             attempt: int, policy: RetryPolicy, retries: list[_Retry],
+             emit: Callable[[PoolEvent], None],
+             clock: Callable[[], float],
+             may_retry: bool = True) -> Optional[JobOutcome]:
+    """Decide one finished attempt.  A timeout is reported first; a
+    retryable failure with budget left is queued on ``retries`` and
+    reported as a ``retry`` event carrying the attempt's payload.  Any
+    other outcome is final: it comes back with its attempt count."""
     kind = (outcome.error_info.kind if outcome.error_info is not None
             else ERROR_COMPILE)
-    return is_retryable(kind) and spent_after <= policy.max_retries
+    if kind == ERROR_TIMEOUT:
+        emit(PoolEvent("timeout", index, attempt))
+    spent = attempt + (policy.timeout_attempt_cost
+                       if kind == ERROR_TIMEOUT else 1)
+    if (may_retry and outcome.error and is_retryable(kind)
+            and spent <= policy.max_retries):
+        delay = policy.backoff_seconds(_safe_key(job), spent)
+        heapq.heappush(retries, _Retry(clock() + delay, index, job, spent))
+        emit(PoolEvent("retry", index, spent, delay, kind,
+                       outcome.captured))
+        return None
+    outcome.attempts = attempt + 1
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +192,7 @@ def _check_inline_deadline(job: CompileJob, outcome: JobOutcome,
         attempt,
     )
     failed.worker_seconds = outcome.worker_seconds
+    failed.captured = outcome.captured
     return failed
 
 
@@ -190,27 +205,14 @@ def _run_serial(items, policy, job_timeout, on_depth, emit, sleep,
             on_depth(running + len(retries))
 
     def attempt_once(index: int, job: CompileJob, attempt: int):
-        """Run one attempt; either yields-through a final outcome or
-        queues a retry.  Returns the outcome if final, else None."""
+        """Run one attempt; returns its outcome if final, else None
+        (a retry was queued)."""
         depth(1)
         payload = replace(job, attempt=attempt) if attempt else job
-        outcome = execute_job(payload, capture)
-        outcome = _check_inline_deadline(job, outcome, job_timeout,
-                                         attempt)
-        if (outcome.error_info is not None
-                and outcome.error_info.kind == ERROR_TIMEOUT):
-            emit(PoolEvent("timeout", index, attempt))
-        spent = attempt + _attempt_cost(outcome, policy)
-        if _should_retry(outcome, spent, policy):
-            delay = policy.backoff_seconds(_safe_key(job), spent)
-            heapq.heappush(retries,
-                           _Retry(clock() + delay, index, job, spent))
-            emit(PoolEvent("retry", index, spent, delay,
-                           outcome.error_info.kind
-                           if outcome.error_info else ""))
-            return None
-        outcome.attempts = attempt + 1
-        return outcome
+        outcome = _check_inline_deadline(
+            job, execute_job(payload, capture), job_timeout, attempt)
+        return _dispose(outcome, index, job, attempt, policy, retries,
+                        emit, clock)
 
     for index, job in items:
         outcome = attempt_once(index, job, 0)
@@ -274,20 +276,11 @@ def _run_pool(items, workers, window, policy, job_timeout, on_depth,
             on_depth(len(in_flight) + len(retries))
 
     def finalize(rec: _InFlight, outcome: JobOutcome) -> None:
-        """Retry a retryable failure with budget left; else hand the
-        outcome (with its attempt count) to the caller."""
-        spent = rec.attempt + _attempt_cost(outcome, policy)
-        if _should_retry(outcome, spent, policy) and not dead:
-            delay = policy.backoff_seconds(_safe_key(rec.job), spent)
-            heapq.heappush(
-                retries,
-                _Retry(clock() + delay, rec.index, rec.job, spent))
-            emit(PoolEvent("retry", rec.index, spent, delay,
-                           outcome.error_info.kind
-                           if outcome.error_info else ""))
-            return
-        outcome.attempts = rec.attempt + 1
-        ready.append((rec.index, outcome))
+        """Hand a final outcome to the caller (see :func:`_dispose`)."""
+        final = _dispose(outcome, rec.index, rec.job, rec.attempt,
+                         policy, retries, emit, clock, may_retry=not dead)
+        if final is not None:
+            ready.append((rec.index, final))
 
     def fail(rec: _InFlight, kind: str, message: str) -> None:
         finalize(rec, _pool_failure(rec.job, kind, message, rec.attempt))
@@ -349,7 +342,6 @@ def _run_pool(items, workers, window, policy, job_timeout, on_depth,
                            detail="irrecoverable: rebuild limit hit"))
         for future, rec in lost:
             if future in timed_out:
-                emit(PoolEvent("timeout", rec.index, rec.attempt))
                 fail(rec, ERROR_TIMEOUT,
                      f"job exceeded the {job_timeout:.3f}s deadline; "
                      f"worker killed")

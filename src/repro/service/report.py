@@ -105,7 +105,7 @@ def _resilience(stats: dict[str, Any]) -> list[str]:
         f"pool rebuilds {stats.get('pool_rebuilds', 0)}",
         f"ladder: reduced {stats.get('degrade_reduced', 0)}, "
         f"scalar {stats.get('degrade_scalar', 0)}, "
-        f"refused {stats.get('degrade_refused', 0)}",
+        f"refused {stats.get('refused', 0)}",
         f"breaker: opened {stats.get('breaker_opened', 0)}, "
         f"closed {stats.get('breaker_closed', 0)}, "
         f"probes {stats.get('breaker_probes', 0)}, "
@@ -253,8 +253,7 @@ def diff_reports(old: dict[str, Any], new: dict[str, Any]
     old_stats, new_stats = old.get("stats", {}), new.get("stats", {})
 
     for field, label in (("errors", "errored jobs"),
-                         ("refused", "refused jobs"),
-                         ("degrade_refused", "ladder refusals")):
+                         ("refused", "refused jobs")):
         before = old_stats.get(field, 0)
         after = new_stats.get(field, 0)
         if after > before:

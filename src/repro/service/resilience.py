@@ -1,4 +1,4 @@
-"""Service resilience: retry/backoff, the degradation ladder, breaker.
+"""Service resilience: retry/backoff, one degradation ladder, breaker.
 
 A long-lived batch service sees failures hourly that a one-shot CLI can
 pretend are fatal: a worker process killed mid-job, a hung compile, a
@@ -16,11 +16,13 @@ the pool and the service share to survive them:
   byte-identically.  A deadline expiry consumes
   :attr:`RetryPolicy.timeout_attempt_cost` units of the budget — the
   "shrunken budget" timed-out jobs retry under.
-* **the degradation ladder** — ``full → reduced → scalar → refuse``,
-  formalizing what admission control started: *reduced* strips the
-  exhaustive/module-exhaustive selection modes and installs tight
-  budgets, *scalar* disables vectorization entirely, *refuse* is the
-  floor.  :func:`next_rung` skips rungs that would not change the job.
+* **the degradation ladder** — ``full → reduced → scalar → refuse``:
+  *reduced* strips the exhaustive/module-exhaustive selection modes
+  and installs tight budgets, *scalar* disables vectorization
+  entirely, *refuse* is the floor.  A rung counts only if it changes
+  the compile.  Every way the service sheds a job — the admission wall
+  budget, an open breaker, spent retries, a backend failure — is one
+  call of :func:`step_down`, which names the job's next dispatch.
 * **:class:`CircuitBreaker`** — per config-shard: after N consecutive
   full-fidelity failures the shard trips OPEN and subsequent jobs are
   routed straight down the ladder; after a few shed jobs one HALF-OPEN
@@ -62,7 +64,7 @@ ERROR_POOL = "pool"
 ERROR_POOL_IRRECOVERABLE = "pool-irrecoverable"
 #: transient cache I/O (a corrupt read or failed write surfaced here)
 ERROR_CACHE_IO = "cache-io"
-#: admission or the degradation ladder refused the job
+#: the degradation ladder refused the job: no rung below changes it
 ERROR_REFUSED = "refused"
 #: the compiled execution tier disagreed with the interpreter on a
 #: differential sweep — an emitter bug, deterministic, never retried
@@ -72,8 +74,8 @@ ERROR_BACKEND_MISMATCH = "backend-mismatch"
 ERROR_BACKEND_UNSUPPORTED = "backend-unsupported"
 
 #: permanent backend failures the ladder handles specially: instead of
-#: retrying (useless — deterministic) or refusing, the service re-runs
-#: the job with ``backend="interp"`` at the same fidelity rung
+#: retrying (useless — deterministic) or stepping down, the job re-runs
+#: with ``backend="interp"`` at the same fidelity rung
 BACKEND_SHED_KINDS = frozenset({
     ERROR_BACKEND_MISMATCH,
     ERROR_BACKEND_UNSUPPORTED,
@@ -191,8 +193,9 @@ def _merge_min_budget(current: Optional[Budget], cap: Budget) -> Budget:
 
 
 def job_at_rung(job: "CompileJob", rung: int) -> "CompileJob":
-    """``job`` rewritten for one ladder rung (identity at FULL)."""
-    if rung <= RUNG_FULL:
+    """``job`` rewritten for one ladder rung (identity at FULL, and for a
+    job that does not vectorize: no rung below changes its compile)."""
+    if rung <= RUNG_FULL or not job.config.enabled:
         return job
     if rung == RUNG_REDUCED:
         config = job.config
@@ -205,7 +208,8 @@ def job_at_rung(job: "CompileJob", rung: int) -> "CompileJob":
         )
         return dataclasses.replace(job, config=config)
     if rung == RUNG_SCALAR:
-        return job.degraded()
+        return dataclasses.replace(
+            job, config=dataclasses.replace(job.config, enabled=False))
     raise ValueError(f"rung {rung} has no runnable job")
 
 
@@ -216,6 +220,34 @@ def next_rung(job: "CompileJob", rung: int) -> int:
         if job_at_rung(job, candidate) != job_at_rung(job, rung):
             return candidate
     return RUNG_REFUSE
+
+
+#: shed reasons besides the failure kinds: the service wall budget ran
+#: out before dispatch, and the job's config shard has an open breaker
+REASON_ADMISSION = "admission-budget"
+REASON_BREAKER = "breaker-open"
+
+
+def step_down(job: "CompileJob", rung: int,
+              reason: str) -> tuple[int, "CompileJob"]:
+    """Where ``reason`` sheds ``job`` from ``rung``: the ``(rung, job)``
+    of its next dispatch, which runs ``job_at_rung(job, rung)``.
+
+    * ``admission-budget`` — the scalar rung; a job that already
+      compiles scalar stays where it is (the same ``rung`` and ``job``);
+    * ``backend-unsupported`` / ``backend-mismatch`` — the same rung on
+      the interpreter tier;
+    * ``breaker-open`` or a retryable kind whose retries are spent —
+      the next rung that changes the compile, :data:`RUNG_REFUSE` when
+      none does.
+    """
+    if reason == REASON_ADMISSION:
+        if job_at_rung(job, RUNG_SCALAR) == job_at_rung(job, rung):
+            return rung, job
+        return RUNG_SCALAR, job
+    if reason in BACKEND_SHED_KINDS:
+        return rung, dataclasses.replace(job, backend="interp")
+    return next_rung(job, rung), job
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +374,27 @@ class CircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# The service-wide bundle
+# The service-wide policies
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AdmissionPolicy:
+    """How a service paces and bounds one batch."""
+
+    #: maximum jobs in flight (submitted, not yet finished); submission
+    #: beyond this blocks — backpressure, not unbounded buffering
+    queue_capacity: int = 32
+    #: wall-clock budget for the whole batch; once it runs out, jobs
+    #: dispatched later shed to the scalar rung.  None = unlimited
+    max_total_seconds: Optional[float] = None
+    #: budget installed on jobs that do not carry one (module caps are
+    #: the per-job admission unit); None = leave jobs as submitted
+    job_budget: Optional[Budget] = None
+
+    def __post_init__(self):
+        if self.queue_capacity < 1:
+            raise ValueError("queue_capacity must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -356,15 +407,13 @@ class ResiliencePolicy:
     #: disables deadlines (the historical behaviour)
     job_timeout: Optional[float] = None
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    #: terminal retryable failures step down the degradation ladder
-    #: instead of surfacing as errors
-    ladder: bool = True
     #: consecutive executor rebuilds tolerated before the pool declares
     #: itself irrecoverable and fails the remaining jobs structurally
     max_pool_rebuilds: int = 8
 
 
 __all__ = [
+    "AdmissionPolicy",
     "BACKEND_SHED_KINDS",
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
@@ -385,6 +434,8 @@ __all__ = [
     "job_at_rung",
     "JobError",
     "next_rung",
+    "REASON_ADMISSION",
+    "REASON_BREAKER",
     "ResiliencePolicy",
     "RETRYABLE_KINDS",
     "ROUTE_FULL",
@@ -396,4 +447,5 @@ __all__ = [
     "RUNG_REDUCED",
     "RUNG_REFUSE",
     "RUNG_SCALAR",
+    "step_down",
 ]

@@ -5,19 +5,22 @@
 
 1. every job's content hash is looked up in the
    :class:`~repro.service.cache.CompileCache` (memory LRU, then disk);
-2. misses fan out to the :mod:`~repro.service.pool` under the
-   :class:`~repro.service.admission.AdmissionController`'s bounded
-   window and service budget; the pool retries crashed/timed-out jobs
-   under the :class:`~repro.service.resilience.RetryPolicy`;
-3. jobs whose retries are exhausted step down the **degradation
-   ladder** (full → reduced → scalar → refuse) in bounded rounds, each
-   step recorded as a remark and a ``service.degrade.*`` metric; a
-   per-config-shard :class:`~repro.service.resilience.CircuitBreaker`
-   routes jobs straight down the ladder after repeated full-fidelity
-   failures until a half-open probe succeeds;
-4. completed compiles are written through to every cache tier (degraded
-   compiles — admission *or* ladder — are never cached: they are not
-   the true artifact for their key);
+2. misses fan out to the :mod:`~repro.service.pool` in the
+   :class:`~repro.service.resilience.AdmissionPolicy`'s bounded window;
+   the pool retries crashed/timed-out jobs under the
+   :class:`~repro.service.resilience.RetryPolicy`;
+3. a job is shed down the **degradation ladder** (full → reduced →
+   scalar → refuse) in bounded rounds, one way whatever the reason:
+   the service wall budget running out before dispatch, an open
+   per-config-shard :class:`~repro.service.resilience.CircuitBreaker`,
+   spent retries, or a backend failure.
+   :func:`~repro.service.resilience.step_down` names the next dispatch
+   and :meth:`CompilationService._step` records the step: a reason on
+   the job, a rung and a reason counter, a ``job`` telemetry event,
+   and at the bottom a structured refusal;
+4. completed compiles are written through to every cache tier; an
+   artifact a shed produced is never cached — it is not the true
+   artifact for its key — and carries one remark per kind of reason;
 5. a :class:`~repro.service.metrics.ServiceStats` snapshot accumulates
    cache traffic, queue depth, retry/breaker/ladder activity, per-stage
    wall time and utilization.
@@ -42,17 +45,12 @@ from ..obs import records as _records
 from ..obs.tracing import span
 from ..robustness.diagnostics import Remark, Severity
 from ..slp.vectorizer import VectorizationReport
-from .admission import (
-    AdmissionController,
-    AdmissionPolicy,
-    DEGRADE,
-    REFUSE,
-)
 from .cache import CacheEntry, CompileCache
 from .jobs import Capture, CompileJob, JobOutcome
 from .metrics import ServiceStats
 from .pool import PoolEvent, run_jobs
 from .resilience import (
+    AdmissionPolicy,
     BACKEND_SHED_KINDS,
     CircuitBreaker,
     ERROR_COMPILE,
@@ -60,13 +58,17 @@ from .resilience import (
     is_retryable,
     job_at_rung,
     JobError,
-    next_rung,
+    REASON_ADMISSION,
+    REASON_BREAKER,
     ResiliencePolicy,
     ROUTE_PROBE,
     ROUTE_SHED,
     RUNG_FULL,
     RUNG_NAMES,
+    RUNG_REDUCED,
     RUNG_REFUSE,
+    RUNG_SCALAR,
+    step_down,
 )
 from .serde import (remark_from_dict, remark_to_dict, report_from_dict,
                     report_to_json)
@@ -177,19 +179,33 @@ class _Pending:
     """One cache miss on its way through the ladder rounds."""
 
     index: int
-    job: CompileJob          #: the admitted, full-fidelity job
+    #: the submitted job with the admission job budget installed; a
+    #: backend shed moves it to the interpreter tier
+    job: CompileJob
     rung: int = RUNG_FULL    #: rung the next dispatch runs at
     probe: bool = False      #: this dispatch is a half-open probe
     #: perf_counter when the job entered the pending set; its first
     #: dispatch samples the queue-wait histogram from this
     queued_at: float = 0.0
     dispatched: bool = False
-    #: why the job is below FULL ("timeout", "worker-lost", "breaker"),
-    #: newest last — surfaced in the artifact's ladder remark
+    #: one reason per step that shed the job, oldest first — surfaced
+    #: in the artifact's remarks
     reasons: list[str] = field(default_factory=list)
-    #: admission shed this job (kept distinct from ladder degradation
-    #: for the stats split)
-    admission_degraded: bool = False
+
+
+#: the ServiceStats counter each step bumps for the rung it lands on
+_RUNG_COUNTERS = {
+    RUNG_REDUCED: "degrade_reduced",
+    RUNG_SCALAR: "degrade_scalar",
+    RUNG_REFUSE: "refused",
+}
+#: the ServiceStats counter a step bumps for its reason (spent retries
+#: have none: ``retries`` counts their attempts)
+_REASON_COUNTERS = {
+    REASON_ADMISSION: "degraded",
+    REASON_BREAKER: "breaker_shed",
+    **{kind: "backend_shed" for kind in BACKEND_SHED_KINDS},
+}
 
 
 class CompilationService:
@@ -208,7 +224,11 @@ class CompilationService:
         #: outcome's captured payload is stitched into the batch trace
         self.telemetry = telemetry
         self.jobs = max(1, jobs)
-        self.admission = AdmissionController(admission)
+        self.admission = (admission if admission is not None
+                          else AdmissionPolicy())
+        #: perf_counter past which the running batch's wall budget is
+        #: spent (None = unlimited)
+        self._deadline: Optional[float] = None
         self.resilience = (resilience if resilience is not None
                            else ResiliencePolicy())
         #: per config-shard; lives as long as the service, so repeated
@@ -227,7 +247,8 @@ class CompilationService:
     def compile_batch(self, jobs: Sequence[CompileJob]) -> BatchResult:
         batch = ServiceStats(workers=self.jobs)
         started = time.perf_counter()
-        self.admission.start_batch()
+        limit = self.admission.max_total_seconds
+        self._deadline = started + limit if limit is not None else None
         batch.jobs = len(jobs)
 
         results: list[Optional[JobResult]] = [None] * len(jobs)
@@ -261,13 +282,14 @@ class CompilationService:
                 else:
                     batch.misses += 1
                     pending.append(_Pending(
-                        index, job, queued_at=time.perf_counter(),
+                        index, self._with_job_budget(job),
+                        queued_at=time.perf_counter(),
                     ))
 
         # ---- stage 2: pool rounds over the degradation ladder --------
-        # Crashes and deadlines retry *inside* one pool run; a job whose
-        # retries are exhausted steps down one ladder rung and re-runs
-        # in the next round.  The rung count bounds the rounds.
+        # Crashes and deadlines retry *inside* one pool run; a job shed
+        # at completion re-runs in the next round.  The rungs and the
+        # one backend shed bound the rounds.
         with span("service.compile", misses=len(pending),
                   workers=self.jobs):
             round_no = 0
@@ -324,10 +346,10 @@ class CompilationService:
                    results: list[Optional[JobResult]],
                    batch: ServiceStats, capture: Optional[Capture],
                    replay: dict[int, list[dict]]) -> list[_Pending]:
-        """One pool pass; returns the jobs that stepped down a rung.
-        Every attempt's captured metrics merge into this process's
-        registry; the records of an attempt that produced a result are
-        kept in ``replay``."""
+        """One pool pass; returns the jobs shed to run again.  Every
+        attempt's captured metrics merge into this process's registry;
+        the records of an attempt that produced a result are kept in
+        ``replay``."""
         policy = self.resilience
         telemetry = self.telemetry
         meta: dict[int, _Pending] = {}
@@ -341,61 +363,20 @@ class CompilationService:
             bounded window only pulls the next item when a slot frees,
             so both see the batch's true state."""
             for item in pending:
-                decision, admitted = self.admission.admit(item.job)
-                if decision == REFUSE:
-                    batch.refused += 1
-                    results[item.index] = JobResult(
-                        item.job,
-                        error="refused: service compile budget "
-                              "exhausted before this job was admitted",
-                        error_info=JobError(
-                            kind=ERROR_REFUSED,
-                            message="service compile budget exhausted "
-                                    "before this job was admitted",
-                            job_name=item.job.name,
-                            config_name=item.job.config.name,
-                        ),
-                        rung=RUNG_NAMES[RUNG_REFUSE],
-                    )
-                    if telemetry is not None:
-                        telemetry.job_event(item.index, item.job,
-                                            "refused",
-                                            reason="admission-budget")
-                    continue
-                item.job = admitted
-                if decision == DEGRADE:
-                    batch.degraded += 1
-                    item.admission_degraded = True
-                    # admission already rewrote the job scalar-only
-                elif item.rung == RUNG_FULL and policy.ladder:
-                    route = self.breaker.route(shard(admitted))
-                    if route == ROUTE_SHED:
-                        batch.breaker_shed += 1
-                        rung = next_rung(admitted, RUNG_FULL)
-                        self._count_rung(batch, rung)
-                        if rung >= RUNG_REFUSE:
-                            # Already scalar: there is no lower rung to
-                            # shed to while the shard is open.
-                            batch.refused += 1
-                            results[item.index] = self._refusal(
-                                item,
-                                f"circuit breaker open for shard "
-                                f"{shard(admitted)!r} and the job has "
-                                f"no lower rung",
-                            )
-                            if telemetry is not None:
-                                telemetry.job_event(
-                                    item.index, item.job, "refused",
-                                    reason="breaker-open",
-                                )
-                            continue
-                        item.rung = rung
-                        item.reasons.append("breaker-open")
-                    elif route == ROUTE_PROBE:
+                if (self._deadline is not None
+                        and time.perf_counter() > self._deadline):
+                    # never a refusal: the scalar rung always runs
+                    self._step(item, REASON_ADMISSION, batch, results)
+                if item.rung == RUNG_FULL:
+                    route = self.breaker.route(shard(item.job))
+                    if route == ROUTE_PROBE:
                         item.probe = True
                         # ``CircuitBreaker.probes`` ticks inside
                         # route(), not record_*, so count it here.
                         batch.breaker_probes += 1
+                    elif (route == ROUTE_SHED and not self._step(
+                            item, REASON_BREAKER, batch, results)):
+                        continue
                 if not item.dispatched:
                     item.dispatched = True
                     batch.queue_wait_samples.append(
@@ -417,6 +398,7 @@ class CompilationService:
         def observe_event(event: PoolEvent) -> None:
             if event.kind == "retry":
                 batch.retries += 1
+                self._receive(event.index, event.captured)
             elif event.kind == "timeout":
                 batch.timeouts += 1
             elif event.kind == "pool-rebuild":
@@ -434,56 +416,46 @@ class CompilationService:
                 telemetry.service_event("pool-rebuild",
                                         detail=event.detail)
 
-        window = self.admission.policy.queue_capacity
         for index, outcome in run_jobs(
-                dispatch(), workers=self.jobs, window=window,
+                dispatch(), workers=self.jobs,
+                window=self.admission.queue_capacity,
                 on_depth=observe_depth, retry=policy.retry,
                 job_timeout=policy.job_timeout,
                 on_event=observe_event,
                 max_pool_rebuilds=policy.max_pool_rebuilds,
                 capture=capture):
             item = meta[index]
-            captured = outcome.captured
-            if captured is not None:
-                _metrics.registry().merge_typed(captured["metrics"])
+            self._receive(index, outcome.captured)
+            if item.rung == RUNG_FULL:
+                self._breaker_feedback(batch, shard(item.job),
+                                       ok=not outcome.error,
+                                       probe=item.probe)
+            kind = (outcome.error_info.kind
+                    if outcome.error_info is not None else ERROR_COMPILE)
+            if outcome.error and (is_retryable(kind)
+                                  or kind in BACKEND_SHED_KINDS):
+                # Retries spent, or a deterministic backend failure.
+                if self._step(item, kind, batch, results,
+                              failure=outcome.error):
+                    carry.append(item)
+                    continue
+            elif outcome.error:
+                # Compile diagnostics are deterministic; re-running the
+                # same program at a lower rung cannot un-break it.
+                batch.errors += 1
+                results[index] = JobResult(
+                    item.job, error=outcome.error,
+                    error_info=outcome.error_info,
+                    attempts=outcome.attempts,
+                    worker_seconds=outcome.worker_seconds,
+                    rung=RUNG_NAMES[item.rung],
+                    degraded=item.rung > RUNG_FULL,
+                )
                 if telemetry is not None:
-                    telemetry.absorb(index, captured)
-            fidelity = item.rung == RUNG_FULL and not item.admission_degraded
-            if outcome.error:
-                if fidelity or item.probe:
-                    self._breaker_feedback(batch, shard(item.job),
-                                           ok=False, probe=item.probe)
-                stepped = self._maybe_step_down(item, outcome, batch)
-                if stepped is not None:
-                    if telemetry is not None:
-                        reason = (stepped.reasons[-1]
-                                  if stepped.reasons else "")
-                        telemetry.job_event(
-                            index, stepped.job,
-                            ("backend-shed"
-                             if reason in BACKEND_SHED_KINDS
-                             else "rung"),
-                            rung=RUNG_NAMES[stepped.rung],
-                            reason=reason,
-                        )
-                    carry.append(stepped)
-                else:
-                    result = self._failure_result(item, outcome, batch)
-                    results[index] = result
-                    if telemetry is not None:
-                        kind = (result.error_info.kind
-                                if result.error_info is not None
-                                else ERROR_COMPILE)
-                        telemetry.job_event(
-                            index, item.job,
-                            ("refused" if kind == ERROR_REFUSED
-                             else "failed"),
-                            reason=kind, attempts=result.attempts,
-                        )
+                    telemetry.job_event(index, item.job, "failed",
+                                        reason=kind,
+                                        attempts=outcome.attempts)
             else:
-                if fidelity or item.probe:
-                    self._breaker_feedback(batch, shard(item.job),
-                                           ok=True, probe=item.probe)
                 results[index] = self._absorb(jobs[index], outcome,
                                               batch, item)
                 if telemetry is not None:
@@ -492,11 +464,57 @@ class CompilationService:
                         rung=RUNG_NAMES[item.rung],
                         attempts=outcome.attempts,
                     )
-            if results[index] is not None and captured is not None:
-                replay[index] = captured["records"]
+            # This outcome finished its job (completed, errored or
+            # refused): count it once.
+            batch.job_latency_samples.append(outcome.worker_seconds)
+            batch.stage_seconds.compile += outcome.worker_seconds
+            batch.vectorizer_invocations += 1
+            if outcome.captured is not None:
+                replay[index] = outcome.captured["records"]
         return carry
 
     # ------------------------------------------------------------------
+
+    def _step(self, item: _Pending, reason: str, batch: ServiceStats,
+              results: list[Optional[JobResult]],
+              failure: str = "") -> bool:
+        """Shed ``item`` one step for ``reason`` (see
+        :func:`~repro.service.resilience.step_down`) and record it: the
+        reason on the job, a counter for the rung it lands on and one
+        for the reason, one ``job`` telemetry event, and at the bottom
+        the refusal as the job's result.  ``failure`` is the error that
+        shed it, if any.  Returns whether the job is still to run."""
+        rung, job = step_down(item.job, item.rung, reason)
+        if (rung, job) == (item.rung, item.job):
+            return True    # admission: the job already compiles scalar
+        counters = [_REASON_COUNTERS.get(reason)]
+        if rung != item.rung:
+            counters.append(_RUNG_COUNTERS[rung])
+        for counter in filter(None, counters):
+            setattr(batch, counter, getattr(batch, counter) + 1)
+        item.reasons.append(reason)
+        item.rung, item.job, item.probe = rung, job, False
+        refused = rung == RUNG_REFUSE
+        if refused:
+            results[item.index] = self._refusal(
+                item, f"degradation ladder exhausted after "
+                      f"{failure or reason}")
+        if self.telemetry is not None:
+            self.telemetry.job_event(
+                item.index, job, "refused" if refused else "rung",
+                rung=RUNG_NAMES[rung], reason=reason,
+            )
+        return not refused
+
+    def _receive(self, index: int, captured: Optional[dict]) -> None:
+        """Take one attempt's shipped payload: its metrics merge into
+        this process's registry and the telemetry session stitches it
+        (its records reach the sink only through ``replay``)."""
+        if captured is None:
+            return
+        _metrics.registry().merge_typed(captured["metrics"])
+        if self.telemetry is not None:
+            self.telemetry.absorb(index, captured)
 
     def _breaker_feedback(self, batch: ServiceStats, shard: str,
                           ok: bool, probe: bool) -> None:
@@ -507,73 +525,6 @@ class CompilationService:
             self.breaker.record_failure(shard, probe=probe)
         batch.breaker_opened += self.breaker.opened - opened
         batch.breaker_closed += self.breaker.closed - closed
-
-    def _count_rung(self, batch: ServiceStats, rung: int) -> None:
-        from .resilience import RUNG_REDUCED, RUNG_SCALAR
-        if rung == RUNG_REDUCED:
-            batch.degrade_reduced += 1
-        elif rung == RUNG_SCALAR:
-            batch.degrade_scalar += 1
-        elif rung == RUNG_REFUSE:
-            batch.degrade_refused += 1
-
-    def _maybe_step_down(self, item: _Pending, outcome: JobOutcome,
-                         batch: ServiceStats) -> Optional[_Pending]:
-        """A terminal retryable failure steps one ladder rung down;
-        returns the re-queued item, or None when the failure stands."""
-        if not self.resilience.ladder:
-            return None
-        kind = (outcome.error_info.kind
-                if outcome.error_info is not None else ERROR_COMPILE)
-        if kind in BACKEND_SHED_KINDS and item.job.backend != "interp":
-            # Permanent, but not unfixable: a compiled-tier mismatch or
-            # refusal is a property of the *backend*, not the program.
-            # Re-run the identical job on the interpreter at the same
-            # fidelity rung — no retry could change the outcome, and no
-            # rung below FULL would help either.
-            batch.backend_shed += 1
-            item.job = replace(item.job, backend="interp")
-            item.probe = False
-            item.reasons.append(kind)
-            return item
-        if not is_retryable(kind):
-            # Compile diagnostics are deterministic; re-running the
-            # same program at a lower rung cannot un-break its syntax.
-            return None
-        rung = next_rung(item.job, item.rung)
-        self._count_rung(batch, rung)
-        if rung >= RUNG_REFUSE:
-            return None
-        item.rung = rung
-        item.probe = False
-        item.reasons.append(kind)
-        return item
-
-    def _failure_result(self, item: _Pending, outcome: JobOutcome,
-                        batch: ServiceStats) -> JobResult:
-        kind = (outcome.error_info.kind
-                if outcome.error_info is not None else ERROR_COMPILE)
-        batch.job_latency_samples.append(outcome.worker_seconds)
-        if (self.resilience.ladder and is_retryable(kind)):
-            # The ladder bottomed out: a structured refusal, not a
-            # bare error — every rung was tried and failed.
-            batch.refused += 1
-            return self._refusal(
-                item,
-                f"degradation ladder exhausted (last failure: "
-                f"{outcome.error})",
-            )
-        batch.errors += 1
-        batch.stage_seconds.compile += outcome.worker_seconds
-        batch.vectorizer_invocations += 1
-        return JobResult(
-            item.job, error=outcome.error,
-            error_info=outcome.error_info,
-            attempts=outcome.attempts,
-            worker_seconds=outcome.worker_seconds,
-            rung=RUNG_NAMES[item.rung],
-            degraded=item.rung > RUNG_FULL or item.admission_degraded,
-        )
 
     def _refusal(self, item: _Pending, message: str) -> JobResult:
         return JobResult(
@@ -587,6 +538,12 @@ class CompilationService:
             rung=RUNG_NAMES[RUNG_REFUSE],
         )
 
+    def _with_job_budget(self, job: CompileJob) -> CompileJob:
+        budget = self.admission.job_budget
+        if budget is None or job.config.budget is not None:
+            return job
+        return replace(job, config=job.config.with_budget(budget))
+
     def _lookup(self, job: CompileJob
                 ) -> tuple[Optional[CacheEntry], str]:
         if self.cache is None:
@@ -595,52 +552,18 @@ class CompilationService:
 
     def _absorb(self, job: CompileJob, outcome: JobOutcome,
                 batch: ServiceStats, item: _Pending) -> JobResult:
-        batch.stage_seconds.compile += outcome.worker_seconds
-        batch.job_latency_samples.append(outcome.worker_seconds)
-        batch.vectorizer_invocations += 1
         if outcome.attempts > 1:
             batch.retry_succeeded += 1
         if outcome.budget_exhausted:
             batch.budget_exhausted += 1
         entry = outcome.entry
         assert entry is not None
-        degraded = item.admission_degraded or item.rung > RUNG_FULL
-        shed_kinds = [r for r in item.reasons
-                      if r in BACKEND_SHED_KINDS]
-        if shed_kinds:
-            # The artifact is full fidelity, but it executes on the
-            # interpreter tier; the remark rides the (cacheable) entry
-            # so warm hits surface the degradation too.
-            entry.remarks.append(_service_remark(
-                job, "backend",
-                f"compiled execution tier shed to the interpreter after "
-                f"{', '.join(shed_kinds)}",
-                remediation="inspect the backend-mismatch report, or "
-                            "submit with backend=interp",
-            ))
-        if item.admission_degraded:
-            entry.remarks.append(_service_remark(
-                job, "admission",
-                "service compile budget exhausted; this job was compiled "
-                "scalar-only",
-                remediation="raise --max-total-seconds or shrink the "
-                            "batch",
-            ))
-        elif item.rung > RUNG_FULL:
-            why = ", ".join(item.reasons) or "repeated failures"
-            entry.remarks.append(_service_remark(
-                job, "resilience",
-                f"degradation ladder: compiled at the "
-                f"{RUNG_NAMES[item.rung]!r} rung after {why}",
-                phase="admission",
-                remediation="raise --job-timeout/--max-retries, or "
-                            "investigate the worker failures in the "
-                            "batch report",
-            ))
+        if item.reasons:
+            # Shed below the submitted job's fidelity: not the true
+            # artifact for its key, so never cached.
+            entry.remarks.extend(
+                _shed_remarks(job, item.rung, item.reasons))
         elif self.cache is not None:
-            # Degraded artifacts (admission or ladder) are not the true
-            # compile for their key; only full-fidelity results are
-            # cached.
             store_started = time.perf_counter()
             with span("service.store", job=job.name):
                 self.cache.put(entry.key, entry)
@@ -649,7 +572,7 @@ class CompilationService:
             )
             batch.stores += 1
         return JobResult(
-            job, entry, degraded=degraded,
+            job, entry, degraded=item.rung > RUNG_FULL,
             attempts=outcome.attempts,
             worker_seconds=outcome.worker_seconds,
             rung=RUNG_NAMES[item.rung],
@@ -674,7 +597,6 @@ class CompilationService:
         life.pool_rebuilds += batch.pool_rebuilds
         life.degrade_reduced += batch.degrade_reduced
         life.degrade_scalar += batch.degrade_scalar
-        life.degrade_refused += batch.degrade_refused
         life.breaker_opened += batch.breaker_opened
         life.breaker_closed += batch.breaker_closed
         life.breaker_probes += batch.breaker_probes
@@ -691,14 +613,49 @@ class CompilationService:
         life.stage_seconds.rehydrate += batch.stage_seconds.rehydrate
 
 
+def _shed_remarks(job: CompileJob, rung: int,
+                  reasons: list[str]) -> list[dict]:
+    """The remarks of an artifact shed to ``rung``: one per kind of
+    reason — the interpreter tier after backend failures, the scalar
+    rung after the admission budget, and the ladder after the rest."""
+    backend = [r for r in reasons if r in BACKEND_SHED_KINDS]
+    ladder = [r for r in reasons
+              if r not in BACKEND_SHED_KINDS and r != REASON_ADMISSION]
+    remarks = []
+    if backend:
+        remarks.append(_service_remark(
+            job, "backend",
+            f"compiled execution tier shed to the interpreter after "
+            f"{', '.join(backend)}",
+            remediation="inspect the backend-mismatch report, or "
+                        "submit with backend=interp",
+        ))
+    if REASON_ADMISSION in reasons:
+        remarks.append(_service_remark(
+            job, "admission",
+            "service compile budget exhausted; this job was compiled "
+            "scalar-only",
+            remediation="raise --max-total-seconds or shrink the batch",
+        ))
+    if ladder:
+        remarks.append(_service_remark(
+            job, "resilience",
+            f"degradation ladder: compiled at the {RUNG_NAMES[rung]!r} "
+            f"rung after {', '.join(ladder)}",
+            remediation="raise --job-timeout/--max-retries, or "
+                        "investigate the worker failures in the batch "
+                        "report",
+        ))
+    return remarks
+
+
 def _service_remark(job: CompileJob, category: str, message: str, *,
-                    remediation: str, phase: str = "") -> dict:
+                    remediation: str) -> dict:
     """A warning about ``job`` from the service stage ``category``, in
     the one serialized remark schema."""
     return remark_to_dict(Remark(
         Severity.WARNING, category, message, function=job.name,
-        pass_name=category, phase=phase or category,
-        remediation=remediation,
+        pass_name=category, phase=category, remediation=remediation,
     ))
 
 

@@ -4,14 +4,16 @@ A :class:`TelemetrySession` is the parent-process half of the
 cross-worker telemetry pipeline (``lslp batch --telemetry-out DIR``):
 
 * it owns the batch-wide :class:`~repro.obs.export.TraceStitcher`,
-  into which every captured :class:`~repro.service.jobs.JobOutcome`
-  payload is absorbed — the attempt's spans land in its worker's own
-  process lane and its records append to the event stream (the
-  service merges the payload's metrics into the parent registry for
-  every batch, telemetry or not);
+  into which every attempt's captured payload is absorbed — a final
+  :class:`~repro.service.jobs.JobOutcome`'s and a retried attempt's
+  (shipped on the pool's ``retry`` event) alike: the attempt's spans
+  land in its worker's own process lane and its records append to the
+  event stream (the service merges the payload's metrics into the
+  parent registry for every batch, telemetry or not);
 * it records the **job timeline**: every lifecycle milestone the
-  service reports (queued → hit/dispatched → retry/timeout → rung /
-  backend-shed → completed/failed/refused) becomes one ``job`` record
+  service reports (queued → hit/dispatched → retry/timeout → rung →
+  completed/failed/refused; each shed step is one ``rung`` event, or
+  ``refused`` at the bottom of the ladder) becomes one ``job`` record
   — appended to the event stream and streamed to the record sink —
   *and* one async arrow on the trace's job track, so a whole
   chaos-recovered batch opens as a single Perfetto timeline;

@@ -150,18 +150,6 @@ def test_admission_degrades_to_scalar_and_skips_the_cache():
     assert recovered.stats.misses == 1      # nothing poisoned the cache
 
 
-def test_admission_refuses_when_degradation_is_disabled():
-    service = CompilationService(
-        cache=None,
-        admission=AdmissionPolicy(max_total_seconds=0.0,
-                                  degrade_to_scalar=False),
-    )
-    batch = service.compile_batch(_jobs())
-    assert not batch.ok
-    assert batch.stats.refused == len(_jobs())
-    assert all("refused" in r.error for r in batch.results)
-
-
 def test_per_job_budget_installed_by_admission():
     policy = AdmissionPolicy(job_budget=Budget.service_default())
     service = CompilationService(cache=None, admission=policy)

@@ -164,7 +164,7 @@ def test_persistent_timeouts_walk_the_ladder_not_an_exception():
     assert result.error_info is not None
     assert result.error_info.kind == "refused"
     assert batch.stats.timeouts >= 2
-    assert batch.stats.degrade_refused == 1
+    assert batch.stats.refused == 1
 
 
 def test_timed_out_jobs_land_on_the_ladder_with_remark_and_metric(

@@ -4,10 +4,11 @@ Unit coverage for the policy objects — deterministic jittered backoff,
 the degradation ladder's rung arithmetic, the circuit breaker state
 machine, structured job errors — plus integration coverage of the pool
 retry loop (serial executor, injectable clocks) and the service's
-ladder/breaker rounds via a monkeypatched job runner.  The hypothesis
-fuzz at the bottom drives arbitrary disk-cache corruption through the
-read path: every corruption must degrade to a miss-and-recompile, never
-an exception or a stale hit.
+ladder rounds via a monkeypatched job runner, where one table drives
+every shed reason down the ladder and checks its bookkeeping.  The
+hypothesis fuzz at the bottom drives arbitrary disk-cache corruption
+through the read path: every corruption must degrade to a
+miss-and-recompile, never an exception or a stale hit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.costmodel.targets import skylake_like
 from repro.kernels.catalog import ALL_KERNELS
 from repro.robustness import Budget, ServiceFaultPlan, ServiceFaultSpec
 from repro.service import (
+    AdmissionPolicy,
     CompilationService,
     CompileCache,
     DiskCache,
@@ -32,8 +34,10 @@ from repro.service import (
     ResiliencePolicy,
     RetryPolicy,
     run_jobs,
+    TelemetrySession,
 )
 from repro.service.resilience import (
+    BACKEND_SHED_KINDS,
     BREAKER_CLOSED,
     BREAKER_OPEN,
     BreakerPolicy,
@@ -45,6 +49,7 @@ from repro.service.resilience import (
     job_at_rung,
     JobError,
     next_rung,
+    RETRYABLE_KINDS,
     ROUTE_FULL,
     ROUTE_PROBE,
     ROUTE_SHED,
@@ -155,23 +160,29 @@ def test_scalar_rung_disables_vectorization():
     assert scalar.config.enabled is False
 
 
-def test_next_rung_descends_and_bottoms_out():
-    job = _job(replace(VectorizerConfig.lslp(),
-                       plan_select="exhaustive"))
-    assert next_rung(job, RUNG_FULL) == RUNG_REDUCED
-    assert next_rung(job, RUNG_REDUCED) == RUNG_SCALAR
-    assert next_rung(job, RUNG_SCALAR) == RUNG_REFUSE
+@pytest.mark.parametrize("config, rungs", [
+    (replace(VectorizerConfig.lslp(), plan_select="exhaustive"),
+     [RUNG_FULL, RUNG_REDUCED, RUNG_SCALAR, RUNG_REFUSE]),
+    # vectorization off: no rung below full changes the compile
+    (VectorizerConfig.o3(), [RUNG_FULL, RUNG_REFUSE]),
+], ids=["lslp-exhaustive", "o3"])
+def test_next_rung_descends_and_bottoms_out(config, rungs):
+    job = _job(config)
+    for rung, lower in zip(rungs, rungs[1:]):
+        assert next_rung(job, rung) == lower
 
 
-def test_next_rung_skips_rungs_that_do_not_change_the_job():
+@pytest.mark.parametrize("config, lower", [
     # Already compiled with the reduced rung's exact posture: stepping
     # down must go straight to scalar, not re-run the identical compile.
-    config = replace(VectorizerConfig.lslp(),
-                     plan_select="greedy-savings",
-                     budget=Budget.reduced())
+    (replace(VectorizerConfig.lslp(), plan_select="greedy-savings",
+             budget=Budget.reduced()), RUNG_SCALAR),
+    (VectorizerConfig.o3(), RUNG_REFUSE),
+], ids=["reduced-posture", "o3"])
+def test_next_rung_skips_rungs_that_do_not_change_the_job(config, lower):
     job = _job(config)
     assert job_at_rung(job, RUNG_REDUCED) == job
-    assert next_rung(job, RUNG_FULL) == RUNG_SCALAR
+    assert next_rung(job, RUNG_FULL) == lower
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +346,10 @@ def test_compile_errors_are_permanent_not_retried():
 # ---------------------------------------------------------------------------
 
 
-def _flaky_runner(monkeypatch, fail_when):
-    """Replace the pool's job runner: failures are simulated
-    worker crashes decided by ``fail_when(job)``; successes run the
-    real compile."""
+def _flaky_runner(monkeypatch, fail_when, kind=ERROR_WORKER_CRASHED):
+    """Replace the pool's job runner: failures of ``kind`` (a simulated
+    worker crash by default) are decided by ``fail_when(job)``;
+    successes run the real compile."""
     import repro.service.pool as pool_module
 
     calls = []
@@ -346,8 +357,8 @@ def _flaky_runner(monkeypatch, fail_when):
     def runner(job, capture=None):
         calls.append(job)
         if fail_when(job):
-            error = JobError(kind=ERROR_WORKER_CRASHED,
-                             message="simulated worker death",
+            error = JobError(kind=kind,
+                             message=f"simulated {kind}",
                              job_name=job.name,
                              config_name=job.config.name,
                              attempt=job.attempt)
@@ -400,23 +411,7 @@ def test_ladder_bottoming_out_is_a_structured_refusal(monkeypatch):
     assert result.error_info is not None
     assert result.error_info.kind == "refused"
     assert result.rung == "refuse"
-    assert batch.stats.degrade_refused == 1
     assert batch.stats.refused == 1
-
-
-def test_no_ladder_surfaces_the_failure_as_an_error(monkeypatch):
-    _flaky_runner(monkeypatch, lambda job: job.config.enabled)
-    service = CompilationService(
-        cache=None, jobs=1,
-        resilience=_resilience(ladder=False,
-                               breaker=BreakerPolicy(0)),
-    )
-    batch = service.compile_batch([_job()])
-    [result] = batch.results
-    assert not result.ok
-    assert result.error_info.kind == ERROR_WORKER_CRASHED
-    assert batch.stats.errors == 1
-    assert batch.stats.degrade_scalar == 0
 
 
 def test_breaker_trips_across_batches_and_sheds_straight_down(
@@ -480,6 +475,150 @@ def test_retry_success_is_counted(monkeypatch):
     assert result.retried
     assert batch.stats.retries == 1
     assert batch.stats.retry_succeeded == 1
+
+
+# ---------------------------------------------------------------------------
+# One ladder: every shed reason takes one step and records it one way
+# ---------------------------------------------------------------------------
+
+SHED_CONFIGS = {
+    "lslp": VectorizerConfig.lslp(),
+    "lslp-exhaustive": replace(VectorizerConfig.lslp(),
+                               plan_select="exhaustive"),
+    "o3": VectorizerConfig.o3(),
+}
+
+#: per shed reason, where a vectorizing job and a job with vectorization
+#: off end up: (rung, remark categories, counters the step bumps).  A
+#: failure kind fails every compile of the submitted configuration; the
+#: backend kinds fail every compiled-tier compile.
+_TO_REDUCED = ("reduced", ["resilience"], {"degrade_reduced": 1})
+_REFUSED = ("refuse", [], {"refused": 1})
+_BACKEND = ("full", ["backend"], {"backend_shed": 1})
+SHED_TABLE = {
+    "admission-budget": (
+        ("scalar", ["admission"], {"degraded": 1, "degrade_scalar": 1}),
+        ("full", [], {}),
+    ),
+    "breaker-open": (
+        ("reduced", ["resilience"],
+         {"breaker_shed": 1, "degrade_reduced": 1}),
+        ("refuse", [], {"breaker_shed": 1, "refused": 1}),
+    ),
+    **{kind: (_TO_REDUCED, _REFUSED) for kind in sorted(RETRYABLE_KINDS)},
+    **{kind: (_BACKEND, _BACKEND) for kind in sorted(BACKEND_SHED_KINDS)},
+}
+SHED_COUNTERS = ("degraded", "breaker_shed", "backend_shed",
+                 "degrade_reduced", "degrade_scalar", "refused",
+                 "vectorizer_invocations")
+
+
+def _job_events(session):
+    """The job timeline as compact strings: event[:rung][:reason]."""
+    return [":".join([event["event"]] + [
+        event[key] for key in ("rung", "reason") if key in event])
+        for event in session.events if event["type"] == "job"]
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled"])
+@pytest.mark.parametrize("config_key", sorted(SHED_CONFIGS))
+@pytest.mark.parametrize("reason", sorted(SHED_TABLE))
+def test_every_shed_reason_takes_one_step_down_one_ladder(
+        monkeypatch, tmp_path, reason, config_key, backend):
+    config = SHED_CONFIGS[config_key]
+    job = _job(config, backend=backend)
+    backend_kind = reason in BACKEND_SHED_KINDS
+
+    def fail_when(run):
+        if backend_kind:
+            return run.backend != "interp"
+        return reason in RETRYABLE_KINDS and run.config == config
+
+    _flaky_runner(monkeypatch, fail_when, kind=reason)
+    session = TelemetrySession(str(tmp_path / "tele"))
+    service = CompilationService(
+        cache=CompileCache(), jobs=1,
+        admission=AdmissionPolicy(
+            max_total_seconds=0.0 if reason == "admission-budget"
+            else None),
+        resilience=_resilience(
+            retry=RetryPolicy(max_retries=0),
+            breaker=BreakerPolicy(
+                failure_threshold=int(reason == "breaker-open"),
+                probe_after=9)),
+        telemetry=session,
+    )
+    if reason == "breaker-open":
+        service.breaker.record_failure(config.name)
+    try:
+        batch = service.compile_batch([job])
+    finally:
+        session.close()
+
+    vectorizes = config.enabled
+    rung, categories, bumped = SHED_TABLE[reason][0 if vectorizes else 1]
+    if backend_kind and backend == "interp":
+        rung, categories, bumped = "full", [], {}   # nothing failed
+    [result] = batch.results
+    assert result.rung == rung
+    assert result.ok == (rung != "refuse")
+    assert result.degraded == (rung in ("reduced", "scalar"))
+    assert [r.category for r in result.remarks] == categories
+    # service remarks name their own stage as the phase
+    assert [r.phase for r in result.remarks] == categories
+    at_dispatch = reason in ("admission-budget", "breaker-open")
+    ran = not (at_dispatch and rung == "refuse")
+    expected = {counter: bumped.get(counter, 0)
+                for counter in SHED_COUNTERS}
+    expected["vectorizer_invocations"] = int(ran)
+    assert {counter: getattr(batch.stats, counter)
+            for counter in SHED_COUNTERS} == expected
+    stepped = bool(bumped)
+    assert batch.stats.stores == (0 if stepped else 1)
+
+    step = (f"refused:refuse:{reason}" if rung == "refuse"
+            else f"rung:{rung}:{reason}")
+    if not stepped:
+        events = ["dispatched:full", f"completed:{rung}"]
+    elif at_dispatch:
+        events = [step] + ([] if rung == "refuse" else
+                           [f"dispatched:{rung}", f"completed:{rung}"])
+    else:
+        events = (["dispatched:full"]
+                  + (["timeout"] if reason == ERROR_TIMEOUT else [])
+                  + [step]
+                  + ([] if rung == "refuse" else
+                     [f"dispatched:{rung}", f"completed:{rung}"]))
+    assert _job_events(session) == ["queued"] + events
+
+
+def test_every_finished_job_is_counted_once():
+    """A ladder refusal ran, so it counts in the invocations, the
+    compile seconds and the latency samples like any finished job; a
+    breaker refusal never ran and counts in none."""
+    service = CompilationService(
+        cache=None, jobs=1,
+        resilience=_resilience(
+            retry=RetryPolicy(max_retries=0), job_timeout=1e-9,
+            breaker=BreakerPolicy(failure_threshold=1, probe_after=9)),
+    )
+    timed_out = service.compile_batch([_job()])
+    [result] = timed_out.results
+    assert result.rung == "refuse"
+    stats = timed_out.stats
+    assert stats.timeouts == 3          # full, reduced, scalar
+    assert stats.vectorizer_invocations == 1
+    assert len(stats.job_latency_samples) == 1
+    assert stats.stage_seconds.compile > 0.0
+    assert stats.worker_utilization > 0.0
+
+    service.breaker.record_failure("O3")
+    shed = service.compile_batch([_job(VectorizerConfig.o3())])
+    assert shed.results[0].rung == "refuse"
+    assert shed.stats.breaker_shed == 1
+    assert shed.stats.vectorizer_invocations == 0
+    assert shed.stats.job_latency_samples == []
+    assert shed.stats.stage_seconds.compile == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,59 @@ def test_failed_attempt_still_ships_its_telemetry_payload():
                for span in payload["spans"])
 
 
+def _attempt_spans(paths):
+    events = json.loads(_read(paths, "trace.json"))["traceEvents"]
+    return [event for event in events
+            if event["ph"] == "X" and event["name"] == "job.attempt"]
+
+
+def test_every_attempt_ships_home_retried_or_timed_out(tmp_path):
+    """A retried attempt and a post-hoc timed-out one ship their
+    payload too: one ``job.attempt`` span per attempt, their metrics
+    merged and their records in the event stream — while only the
+    attempt that produced a result replays its records into the sink."""
+    from repro.obs import records as obs_records
+    from repro.obs.records import ListSink
+
+    plan = ServiceFaultPlan(
+        specs=(ServiceFaultSpec(site="worker-kill", rate=1.0),),
+        seed=0,
+    )
+    session = TelemetrySession(str(tmp_path / "retry"))
+    batch = _service(jobs=1, telemetry=session).compile_batch(
+        _jobs(plan))
+    paths = session.close()
+    assert batch.ok and batch.stats.retries == len(_jobs())
+    assert (len(_attempt_spans(paths))
+            == len(_jobs()) + batch.stats.retries)
+
+    # The full, reduced and scalar attempts all time out post hoc; the
+    # scalar attempt's refusal is the job's result.
+    obs.reset()
+    sink = ListSink()
+    previous = obs_records.set_sink(sink)
+    session = TelemetrySession(str(tmp_path / "timeout"))
+    service = CompilationService(
+        cache=None, jobs=1, telemetry=session,
+        resilience=ResiliencePolicy(
+            retry=RetryPolicy(max_retries=0), job_timeout=1e-9,
+            breaker=BreakerPolicy(failure_threshold=0),
+        ),
+    )
+    try:
+        [result] = service.compile_batch(_jobs()[:1]).results
+    finally:
+        obs_records.set_sink(previous)
+        paths = session.close()
+    assert result.rung == "refuse"
+    assert len(_attempt_spans(paths)) == 3
+    # the vectorizing attempts' work reached the registry and the event
+    # stream, but not the sink
+    assert "slp.trees_built" in obs_metrics.registry().snapshot()
+    assert any(event["type"] == "seed" for event in session.events)
+    assert not any(record["type"] == "seed" for record in sink.records)
+
+
 def test_execute_job_capture_restores_obs_globals():
     from repro.obs import records as obs_records
     from repro.obs import tracing as obs_tracing
