@@ -18,7 +18,7 @@ class StageSeconds:
     ``compile`` which sums the workers' per-job walls)."""
 
     lookup: float = 0.0       #: cache key computation + tier lookups
-    compile: float = 0.0      #: sum of worker job walls (all workers)
+    compile: float = 0.0      #: sum of worker walls over every attempt
     store: float = 0.0        #: cache write-through
     rehydrate: float = 0.0    #: parsing printed IR back to a Module
 

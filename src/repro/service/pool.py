@@ -76,6 +76,8 @@ class PoolEvent:
     detail: str = ""
     #: a retried attempt's :attr:`JobOutcome.captured` payload
     captured: Optional[dict] = None
+    #: a retried attempt's :attr:`JobOutcome.worker_seconds`
+    worker_seconds: float = 0.0
 
 
 @dataclass
@@ -167,7 +169,7 @@ def _dispose(outcome: JobOutcome, index: int, job: CompileJob,
         delay = policy.backoff_seconds(_safe_key(job), spent)
         heapq.heappush(retries, _Retry(clock() + delay, index, job, spent))
         emit(PoolEvent("retry", index, spent, delay, kind,
-                       outcome.captured))
+                       outcome.captured, outcome.worker_seconds))
         return None
     outcome.attempts = attempt + 1
     return outcome

@@ -182,6 +182,8 @@ class _Pending:
     #: the submitted job with the admission job budget installed; a
     #: backend shed moves it to the interpreter tier
     job: CompileJob
+    #: the job as the caller submitted it: what every result carries
+    submitted: CompileJob
     rung: int = RUNG_FULL    #: rung the next dispatch runs at
     probe: bool = False      #: this dispatch is a half-open probe
     #: perf_counter when the job entered the pending set; its first
@@ -282,7 +284,7 @@ class CompilationService:
                 else:
                     batch.misses += 1
                     pending.append(_Pending(
-                        index, self._with_job_budget(job),
+                        index, self._with_job_budget(job), job,
                         queued_at=time.perf_counter(),
                     ))
 
@@ -294,7 +296,7 @@ class CompilationService:
                   workers=self.jobs):
             round_no = 0
             while pending and round_no <= RUNG_REFUSE:
-                pending = self._run_round(jobs, pending, results, batch,
+                pending = self._run_round(pending, results, batch,
                                           capture, replay)
                 round_no += 1
             # Defensive: the ladder is strictly descending, so this is
@@ -341,8 +343,7 @@ class CompilationService:
 
     # ------------------------------------------------------------------
 
-    def _run_round(self, jobs: Sequence[CompileJob],
-                   pending: list[_Pending],
+    def _run_round(self, pending: list[_Pending],
                    results: list[Optional[JobResult]],
                    batch: ServiceStats, capture: Optional[Capture],
                    replay: dict[int, list[dict]]) -> list[_Pending]:
@@ -398,6 +399,7 @@ class CompilationService:
         def observe_event(event: PoolEvent) -> None:
             if event.kind == "retry":
                 batch.retries += 1
+                batch.stage_seconds.compile += event.worker_seconds
                 self._receive(event.index, event.captured)
             elif event.kind == "timeout":
                 batch.timeouts += 1
@@ -426,12 +428,15 @@ class CompilationService:
                 capture=capture):
             item = meta[index]
             self._receive(index, outcome.captured)
-            if item.rung == RUNG_FULL:
-                self._breaker_feedback(batch, shard(item.job),
-                                       ok=not outcome.error,
-                                       probe=item.probe)
+            batch.stage_seconds.compile += outcome.worker_seconds
             kind = (outcome.error_info.kind
                     if outcome.error_info is not None else ERROR_COMPILE)
+            if item.rung == RUNG_FULL:
+                # A backend failure follows a successful compile.
+                self._breaker_feedback(
+                    batch, shard(item.job),
+                    ok=not outcome.error or kind in BACKEND_SHED_KINDS,
+                    probe=item.probe)
             if outcome.error and (is_retryable(kind)
                                   or kind in BACKEND_SHED_KINDS):
                 # Retries spent, or a deterministic backend failure.
@@ -444,7 +449,7 @@ class CompilationService:
                 # same program at a lower rung cannot un-break it.
                 batch.errors += 1
                 results[index] = JobResult(
-                    item.job, error=outcome.error,
+                    item.submitted, error=outcome.error,
                     error_info=outcome.error_info,
                     attempts=outcome.attempts,
                     worker_seconds=outcome.worker_seconds,
@@ -456,8 +461,7 @@ class CompilationService:
                                         reason=kind,
                                         attempts=outcome.attempts)
             else:
-                results[index] = self._absorb(jobs[index], outcome,
-                                              batch, item)
+                results[index] = self._absorb(outcome, batch, item)
                 if telemetry is not None:
                     telemetry.job_event(
                         index, item.job, "completed",
@@ -467,7 +471,6 @@ class CompilationService:
             # This outcome finished its job (completed, errored or
             # refused): count it once.
             batch.job_latency_samples.append(outcome.worker_seconds)
-            batch.stage_seconds.compile += outcome.worker_seconds
             batch.vectorizer_invocations += 1
             if outcome.captured is not None:
                 replay[index] = outcome.captured["records"]
@@ -528,7 +531,7 @@ class CompilationService:
 
     def _refusal(self, item: _Pending, message: str) -> JobResult:
         return JobResult(
-            item.job,
+            item.submitted,
             error=f"refused: {message}",
             error_info=JobError(
                 kind=ERROR_REFUSED, message=message,
@@ -550,8 +553,9 @@ class CompilationService:
             return None, ""
         return self.cache.get(job.cache_key())
 
-    def _absorb(self, job: CompileJob, outcome: JobOutcome,
-                batch: ServiceStats, item: _Pending) -> JobResult:
+    def _absorb(self, outcome: JobOutcome, batch: ServiceStats,
+                item: _Pending) -> JobResult:
+        job = item.submitted
         if outcome.attempts > 1:
             batch.retry_succeeded += 1
         if outcome.budget_exhausted:

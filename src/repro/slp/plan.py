@@ -18,16 +18,21 @@ this module performs that inversion in three layers:
   or greedy plus a subset search) over a scope (one block, or every
   block of the module).
 * :class:`Applier` materializes the chosen plans through
-  :class:`~repro.slp.codegen.VectorCodeGen` in deterministic order,
-  rebuilding and re-checking each tree at apply time (an earlier
-  application can invalidate a plan-time verdict).
+  :class:`~repro.slp.codegen.VectorCodeGen` in deterministic order.  It
+  emits a seed's planned graph as built while a rebuild provably
+  returns the same graph, cost, stats and verdict (nothing emitted into
+  the function since planning, no budget check that could answer
+  differently), and otherwise rebuilds and re-checks the tree on the
+  current IR (an earlier application can invalidate a plan-time
+  verdict).
 
 Byte-stability contract: in ``legacy`` mode the applier re-runs the
-historical greedy loop *exactly* — same seed iteration, same graph
-builds charged to the same function meter, same records, same report —
-while the planner runs beforehand on its own analysis context and its
-own phase-scoped budget meter, so planning never perturbs what the
-legacy path produces.
+historical greedy loop *exactly* — same seed iteration, same graphs
+charged to the same function meter, same records, same report — while
+the planner runs beforehand on its own analysis context and its own
+phase-scoped budget meter, so planning never perturbs what the legacy
+path produces.  A reused plan's ``reorder`` records stream once, from
+planning, where a rebuild streams them again.
 
 Every candidate's fate is observable: ``plan`` records at enumeration,
 ``select``/``reject`` records after reconciliation, ``plan.*`` metrics,
@@ -130,6 +135,12 @@ class TreePlan:
     reg_pressure: int = 0
     #: live registers beyond the target's vector register file
     reg_excess: int = 0
+    #: the plan meter's look-ahead count when this plan's build began
+    evals_at_start: int = 0
+    #: whether a budget check may have refused during the build: the
+    #: plan meter had noted an event by its end (every refusal notes
+    #: one).  Only the planner clears it.
+    constrained: bool = True
 
     @property
     def total_cost(self) -> int:
@@ -272,7 +283,10 @@ class Planner:
     (never the applier's — shared SCEV caches would let pre-mutation
     facts leak into apply-time graph builds) and charges a phase-scoped
     budget meter, so planning perturbs neither the legacy byte-stream
-    nor the apply phase's budget accounting.
+    nor the apply phase's budget accounting.  Each plan notes that
+    meter's look-ahead count when its build began and whether a budget
+    check may have refused during it, which is what the applier needs
+    to emit the plan as built.
     """
 
     def __init__(self, config, target, ids: Optional[itertools.count] = None,
@@ -342,6 +356,7 @@ class Planner:
                     seed: SeedGroup, ctx: LookAheadContext,
                     aa: AliasAnalysis, meter: BudgetMeter,
                     parent: Optional[int]) -> TreePlan:
+        evals_at_start = meter.lookahead_evals
         builder = GraphBuilder(self.config.build_policy(meter), self.target,
                                ctx)
         with span("slp.plan_graph", vl=seed.vector_length):
@@ -371,6 +386,8 @@ class Planner:
             claim_keys=self._claim_keys(block.name, claimed),
             reg_pressure=pressure,
             reg_excess=excess,
+            evals_at_start=evals_at_start,
+            constrained=meter.exhausted,
         )
         block_plan.add(plan)
         _emit_plan_record(plan)
@@ -382,6 +399,7 @@ class Planner:
         # Deferred import: reductions.py builds on TreePlan from here.
         from .reductions import plan_reduction
 
+        evals_at_start = meter.lookahead_evals
         with span("slp.plan_graph", kind="reduction"):
             plan = plan_reduction(seed, self.config.build_policy(meter),
                                   self.target, ctx)
@@ -401,6 +419,8 @@ class Planner:
             claim_keys=self._claim_keys(block.name, plan.claimed),
             reg_pressure=pressure,
             reg_excess=excess,
+            evals_at_start=evals_at_start,
+            constrained=meter.exhausted,
         )
         block_plan.add(plan)
         block_plan.reductions.append(plan.plan_id)
@@ -728,16 +748,25 @@ class Applier:
     """Materializes plans; in ``legacy`` mode this *is* the historical
     greedy pipeline, instruction for instruction.
 
-    Every tree is rebuilt on the current IR at apply time — plan-time
-    graphs are never emitted, because an earlier application can
-    invalidate lanes, change gather contents, or shift costs.  The
-    rebuild uses the applier's own analysis context and charges the
-    function meter, which is exactly what the legacy pipeline did.
+    A seed about to be tried takes its plan — the chosen one under
+    selection, else the block plan's plan over the same stores (or the
+    same reduction) — and emits that plan's graph, cost, stats and
+    schedulability verdict as built, charging the function meter the
+    plan's look-ahead evals, whenever a rebuild provably returns exactly
+    the same (see :func:`_reusable`).  Every other tree is rebuilt on the
+    current IR, because an earlier application can invalidate lanes,
+    change gather contents, or shift costs; the rebuild uses the
+    applier's own analysis context and charges the function meter,
+    which is exactly what the legacy pipeline did.
+
+    ``untouched`` says that nothing has been emitted into the function
+    since this block was planned; the first emission here ends reuse.
     """
 
-    def __init__(self, config, target):
+    def __init__(self, config, target, untouched: bool = False):
         self.config = config
         self.target = target
+        self.untouched = untouched
         #: store-identity sets of every applied store tree
         self.applied_stores: list[frozenset[int]] = []
         #: (reduction root id, vector length) of every applied reduction
@@ -762,10 +791,34 @@ class Applier:
                 for pid in selection.pressure_rejected
                 if block_plan.plans[pid].kind == "store"
             )
+        self._plans = (
+            {_plan_key(plan.kind, plan.seed): plan
+             for plan in block_plan.plans.values()}
+            if self.untouched else {}
+        )
         if selection is None:
             self._apply_legacy(block, seeds)
         else:
             self._apply_selected(block, block_plan, selection, seeds)
+
+    @property
+    def emitted(self) -> int:
+        """Trees and reductions this applier emitted."""
+        return len(self.applied_stores) + len(self.applied_reductions)
+
+    # ---- plan reuse --------------------------------------------------
+
+    def _planned(self, kind: str, seed) -> Optional[TreePlan]:
+        """The seed's plan when emitting it as built is exact, with its
+        look-ahead evals charged to the function meter; else ``None``
+        (rebuild)."""
+        if self.emitted:
+            return None
+        plan = self._plans.get(_plan_key(kind, seed))
+        if plan is None or not _reusable(plan, self._meter):
+            return None
+        self._meter.charge_lookahead(plan.stats.lookahead_evals)
+        return plan
 
     # ---- legacy first-fit (byte-for-byte historical behaviour) -------
 
@@ -824,15 +877,20 @@ class Applier:
                 self._vectorize_seed(part)
 
     def _try_store_tree(self, seed: SeedGroup) -> TreeRecord:
-        builder = GraphBuilder(self.config.build_policy(self._meter),
-                               self.target, self._ctx)
-        with span("slp.build_graph", vl=seed.vector_length):
-            graph = builder.build(seed.stores)
-        _absorb_stats(self._report.stats, builder.stats)
+        plan = self._planned("store", seed)
+        if plan is not None:
+            graph, cost, stats = plan.graph, plan.tree_cost, plan.stats
+        else:
+            builder = GraphBuilder(self.config.build_policy(self._meter),
+                                   self.target, self._ctx)
+            with span("slp.build_graph", vl=seed.vector_length):
+                graph = builder.build(seed.stores)
+            with span("slp.cost"):
+                cost = compute_graph_cost(graph, self.target)
+            stats = builder.stats
+        _absorb_stats(self._report.stats, stats)
         if _records.wants("slp.graph"):
             _records.emit("slp.graph", kind="store", dot=graph.to_dot())
-        with span("slp.cost"):
-            cost = compute_graph_cost(graph, self.target)
         record = TreeRecord(
             kind="store",
             vector_length=seed.vector_length,
@@ -845,7 +903,8 @@ class Applier:
             _emit_group(record, reason="gather-root")
             return record
         codegen = VectorCodeGen(graph, self._aa)
-        record.schedulable = codegen.can_schedule()
+        record.schedulable = (plan.schedulable if plan is not None
+                              else codegen.can_schedule())
         if record.schedulable and cost.total < self.config.cost_threshold:
             with span("slp.codegen", vl=seed.vector_length):
                 codegen.run()
@@ -859,13 +918,15 @@ class Applier:
     def _try_reduction(self, seed) -> Optional[TreeRecord]:
         from .reductions import emit_reduction, plan_reduction
 
-        with span("slp.build_graph", kind="reduction"):
-            plan = plan_reduction(
-                seed, self.config.build_policy(self._meter), self.target,
-                self._ctx,
-            )
+        plan = self._planned("reduction", seed)
         if plan is None:
-            return None
+            with span("slp.build_graph", kind="reduction"):
+                plan = plan_reduction(
+                    seed, self.config.build_policy(self._meter),
+                    self.target, self._ctx,
+                )
+            if plan is None:
+                return None
         if _records.wants("slp.graph"):
             _records.emit("slp.graph", kind="reduction",
                           dot=plan.graph.to_dot())
@@ -1056,6 +1117,36 @@ def _classify(plan: TreePlan, applier: Applier,
 # ---------------------------------------------------------------------------
 # Shared helpers (the historical vectorizer's, relocated)
 # ---------------------------------------------------------------------------
+
+
+def _reusable(plan: TreePlan, meter: BudgetMeter) -> bool:
+    """Would every budget check of a rebuild of ``plan`` charged to
+    ``meter`` pass, as each check of the plan's own build did?
+
+    Each check is monotone in the meter's look-ahead count, so each
+    passes again while the function meter has noted nothing and counts
+    no more evals than the plan meter did when the build began, the
+    module meter stays below its cap after the charge, and time is not
+    up.
+    """
+    if (plan.constrained or meter.exhausted
+            or meter.lookahead_evals > plan.evals_at_start):
+        return False
+    module = meter.module
+    if module is not None:
+        cap = module.budget.max_module_lookahead_evals
+        if (cap is not None and module.lookahead_evals
+                + plan.stats.lookahead_evals >= cap):
+            return False
+    return not meter.time_exceeded()
+
+
+def _plan_key(kind: str, seed) -> tuple:
+    """A seed's identity: its stores in lane order, or its reduction
+    root and operands."""
+    if kind == "store":
+        return (kind,) + tuple(id(store) for store in seed.stores)
+    return (kind, id(seed.root)) + tuple(id(op) for op in seed.operands)
 
 
 def _emit_group(record: TreeRecord, reason: str = "") -> None:

@@ -27,8 +27,10 @@ each block through the three phases of :mod:`repro.slp.plan`, and
    (``"greedy-savings"``/``"exhaustive"``) or over the whole module
    (``"module-greedy"``/``"module-exhaustive"``);
 3. **apply** — materialize trees through ``VectorCodeGen`` in
-   deterministic order, rebuilding and re-checking each on the current
-   IR.
+   deterministic order, emitting a tree as planned while nothing has
+   been emitted into its function since planning and no budget check
+   could answer differently, else rebuilding and re-checking it on the
+   current IR.
 
 Afterwards every candidate's fate (applied, or rejected with a reason)
 is reconciled into ``select``/``reject`` and ``plan.dump`` records.
@@ -267,6 +269,8 @@ class _PlannedBlock:
     block_plan: BlockPlan
     ctx: LookAheadContext
     aa: AliasAnalysis
+    #: the function's emission count when this block was planned
+    epoch: int = 0
     #: the module-scope verdict, once :meth:`select` has run
     selection: Optional[Selection] = None
 
@@ -283,6 +287,10 @@ class _PlannedFunction:
     plan_meter: BudgetMeter
     ids: itertools.count
     blocks: list[_PlannedBlock] = field(default_factory=list)
+    #: trees and reductions emitted into the function so far: a block
+    #: whose epoch still equals it was planned on the IR it is applied
+    #: to, so its plans may be emitted as built
+    emitted: int = 0
 
 
 class ModuleVectorizationDriver:
@@ -304,11 +312,13 @@ class ModuleVectorizationDriver:
     for all of them.  A function :meth:`apply_function` meets
     unplanned is, under module scope, planned and selected on its own.
 
-    Seeds and apply-phase analysis contexts are captured at plan time;
-    the applier re-checks liveness and rebuilds every tree on the
-    current IR, so cross-function ordering cannot invalidate a verdict
-    silently.  Blocks replaced after planning (a guard rollback swaps
-    in a snapshot's blocks) are planned again at apply time and applied
+    Seeds and apply-phase analysis contexts are captured at plan time.
+    The applier re-checks liveness; it emits a planned tree as built
+    only while nothing has been emitted into the function since the
+    block was planned, and rebuilds every other tree on the current IR,
+    so cross-function ordering cannot invalidate a verdict silently.
+    Blocks replaced after planning (a guard rollback swaps in a
+    snapshot's blocks) are planned again at apply time and applied
     first-fit, with a remark.
     """
 
@@ -386,9 +396,11 @@ class ModuleVectorizationDriver:
                     if pb is None:
                         pb = self._plan_block(planned, block)
                     selection = self._selection(func.name, pb, meter)
-                    applier = Applier(self.config, self.target)
+                    applier = Applier(self.config, self.target,
+                                      untouched=pb.epoch == planned.emitted)
                     applier.apply(block, pb.block_plan, selection,
                                   pb.seeds, pb.ctx, pb.aa, report, meter)
+                    planned.emitted += applier.emitted
                     record_outcomes(pb.block_plan, applier,
                                     self.config.plan_select,
                                     self.config.cost_threshold, selection)
@@ -460,7 +472,8 @@ class ModuleVectorizationDriver:
             block, seeds, plan_ctx, AliasAnalysis(plan_ctx.scev),
             planned.plan_meter,
         )
-        return _PlannedBlock(block, seeds, block_plan, ctx, aa)
+        return _PlannedBlock(block, seeds, block_plan, ctx, aa,
+                             epoch=planned.emitted)
 
     def _selection(self, function: str, pb: _PlannedBlock,
                    meter: BudgetMeter) -> Optional[Selection]:

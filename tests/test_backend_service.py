@@ -17,6 +17,7 @@ import pytest
 import repro.backend.emit as emit_mod
 import repro.backend.runtime as runtime_mod
 import repro.backend.validate as validate_mod
+import repro.service.pool as pool_module
 from repro.backend import TieredExecutor, load_compiled
 from repro.costmodel.targets import skylake_like
 from repro.interp.differential import seeded_arg_sets
@@ -32,7 +33,10 @@ from repro.service import (
     job_for_kernel,
     job_for_module,
     job_for_source,
+    JobOutcome,
     MemoryCache,
+    ResiliencePolicy,
+    RetryPolicy,
 )
 from repro.service.cache import CACHE_SCHEMA, StaleSchemaError
 from repro.service.jobs import JOB_BACKENDS
@@ -40,7 +44,9 @@ from repro.service.resilience import (
     BACKEND_SHED_KINDS,
     ERROR_BACKEND_MISMATCH,
     ERROR_BACKEND_UNSUPPORTED,
+    ERROR_WORKER_CRASHED,
     is_retryable,
+    JobError,
 )
 from repro.slp.vectorizer import VectorizerConfig
 
@@ -312,6 +318,46 @@ def test_mismatch_sheds_too(monkeypatch):
     assert res.error == ""
     assert res.entry.backend == "interp"
     assert svc.stats.backend_shed == 1
+
+
+def test_backend_failures_do_not_open_the_breaker():
+    """A backend failure follows a successful compile, so it is no
+    breaker failure: five compiled-tier jobs that all shed to the
+    interpreter (more than the default threshold of three) stay at the
+    full rung with only the backend remark."""
+    svc = CompilationService(cache=None)
+    batch = svc.compile_batch(
+        [_pointer_job(backend="compiled") for _ in range(5)])
+    assert batch.stats.breaker_shed == 0
+    assert batch.stats.backend_shed == 5
+    for res in batch.results:
+        assert res.ok and res.rung == "full" and not res.degraded
+        assert [r.category for r in res.remarks] == ["backend"]
+
+
+def test_refusal_carries_the_submitted_job(monkeypatch):
+    """An O3 compiled-tier job sheds to the interpreter, whose re-run
+    crashes until the ladder refuses it: the refusal reports the job
+    the caller submitted, not the rewritten interp one."""
+    def runner(job, capture=None):
+        if job.backend == "interp":
+            error = JobError(kind=ERROR_WORKER_CRASHED, message="crash",
+                             job_name=job.name,
+                             config_name=job.config.name)
+            return JobOutcome(entry=None, error=error.render(),
+                              error_info=error)
+        return execute_job(job, capture)
+
+    monkeypatch.setattr(pool_module, "execute_job", runner)
+    svc = CompilationService(cache=None, resilience=ResiliencePolicy(
+        retry=RetryPolicy(max_retries=0)))
+    job = job_for_module("ptrarg", pointer_arg_module(),
+                         VectorizerConfig.o3(), skylake_like(),
+                         backend="compiled", verify_runs=0)
+    res = svc.compile_job(job)
+    assert res.rung == "refuse" and "refused" in res.error
+    assert res.job is job
+    assert res.job.backend == "compiled"
 
 
 def test_stats_render_mentions_backend_shed():

@@ -40,15 +40,39 @@ void kernel(long i) {
 """
 
 
-def _compile_traced():
+#: two trees: the second is applied after the first touched the
+#: function, so it is rebuilt at apply time
+TWO_TREE_KERNEL = """
+long A[1024], B[1024], C[1024], D[1024];
+void kernel(long i) {
+    A[i + 0] = B[i + 0] + C[i + 0];
+    A[i + 1] = B[i + 1] + C[i + 1];
+    D[i + 0] = B[i + 2] * C[i + 2];
+    D[i + 1] = B[i + 3] * C[i + 3];
+}
+"""
+
+
+def _compile_traced(source=KERNEL):
     """One guarded LSLP compile with tracing on; returns the tracer."""
     tracer = tracing.install()
     try:
-        _, func = build_kernel(KERNEL)
+        _, func = build_kernel(source)
         compile_function(func, VectorizerConfig.lslp(), skylake_like())
     finally:
         tracing.uninstall()
     return tracer
+
+
+def _ancestors(tracer, span_name):
+    """Names of the enclosing spans of the first ``span_name`` span."""
+    by_index = {s.index: s for s in tracer.spans}
+    node = next(s for s in tracer.spans if s.name == span_name)
+    chain = []
+    while node.parent is not None:
+        node = by_index[node.parent]
+        chain.append(node.name)
+    return chain
 
 
 class TestTracing:
@@ -59,18 +83,18 @@ class TestTracing:
         assert "frontend.lower" in names
         assert "compile.function" in names
         assert "opt.slp" in names
-        assert "slp.build_graph" in names
         assert "slp.codegen" in names
-        # slp stages nest under the slp pass, which nests under the
-        # compile.function root
-        by_index = {s.index: s for s in tracer.spans}
-        build = next(s for s in tracer.spans
-                     if s.name == "slp.build_graph")
-        chain = []
-        node = build
-        while node.parent is not None:
-            node = by_index[node.parent]
-            chain.append(node.name)
+        # The one tree is emitted as planned: the plan-time build that
+        # produced the code nests under the slp pass, which nests under
+        # the compile.function root, and nothing is built again.
+        assert "slp.build_graph" not in names
+        chain = _ancestors(tracer, "slp.plan_graph")
+        assert "slp.function" in chain
+        assert "opt.slp" in chain
+        assert "compile.function" in chain
+        # An apply-time rebuild nests the same way.
+        chain = _ancestors(_compile_traced(TWO_TREE_KERNEL),
+                           "slp.build_graph")
         assert "slp.function" in chain
         assert "opt.slp" in chain
         assert "compile.function" in chain

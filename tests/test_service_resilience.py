@@ -346,10 +346,11 @@ def test_compile_errors_are_permanent_not_retried():
 # ---------------------------------------------------------------------------
 
 
-def _flaky_runner(monkeypatch, fail_when, kind=ERROR_WORKER_CRASHED):
+def _flaky_runner(monkeypatch, fail_when, kind=ERROR_WORKER_CRASHED,
+                  worker_seconds=0.0):
     """Replace the pool's job runner: failures of ``kind`` (a simulated
-    worker crash by default) are decided by ``fail_when(job)``;
-    successes run the real compile."""
+    worker crash by default, taking ``worker_seconds``) are decided by
+    ``fail_when(job)``; successes run the real compile."""
     import repro.service.pool as pool_module
 
     calls = []
@@ -363,7 +364,8 @@ def _flaky_runner(monkeypatch, fail_when, kind=ERROR_WORKER_CRASHED):
                              config_name=job.config.name,
                              attempt=job.attempt)
             return JobOutcome(entry=None, error=error.render(),
-                              error_info=error)
+                              error_info=error,
+                              worker_seconds=worker_seconds)
         return execute_job(job, capture)
 
     monkeypatch.setattr(pool_module, "execute_job", runner)
@@ -460,6 +462,26 @@ def test_breaker_probe_success_closes_the_shard(monkeypatch):
     assert probe.stats.breaker_probes == 1
     assert probe.stats.breaker_closed == 1
     assert service.breaker.state("LSLP") == BREAKER_CLOSED
+
+
+def test_compile_seconds_count_every_attempt(monkeypatch):
+    """Retried and stepped-down attempts are worker time too; the
+    finished job still counts once in invocations and latency."""
+    calls = _flaky_runner(monkeypatch, lambda job: job.config.enabled,
+                          worker_seconds=0.25)
+    service = CompilationService(
+        cache=None, jobs=1,
+        resilience=_resilience(breaker=BreakerPolicy(0)),
+    )
+    batch = service.compile_batch([_job()])
+    [result] = batch.results
+    assert result.ok and result.rung == "scalar"
+    failed = len(calls) - 1
+    assert failed == 2 * (1 + FAST_RETRY.max_retries)
+    assert batch.stats.stage_seconds.compile == pytest.approx(
+        0.25 * failed + result.worker_seconds)
+    assert batch.stats.vectorizer_invocations == 1
+    assert batch.stats.job_latency_samples == [result.worker_seconds]
 
 
 def test_retry_success_is_counted(monkeypatch):
