@@ -8,8 +8,6 @@ halves: -6 vs -4 on overlap-shared-half, -12 vs -4 on
 overlap-disjoint-halves.
 """
 
-import pytest
-
 from repro.experiments.figures import ablation_plan_select
 from repro.kernels import OVERLAP_KERNELS
 
@@ -31,9 +29,9 @@ def test_ablation_plan_select(benchmark):
     strict_wins = 0
     for kernel in OVERLAP_KERNELS:
         legacy = cost[(kernel.name, "legacy")]
-        greedy = cost[(kernel.name, "greedy-savings")]
-        exhaustive = cost[(kernel.name, "exhaustive")]
-        # selection never loses to greedy first-fit, and exhaustive
+        greedy = cost[(kernel.name, "module-greedy")]
+        exhaustive = cost[(kernel.name, "module-exhaustive")]
+        # selection never loses to greedy first-fit, and the subset
         # search never loses to the greedy selector
         assert greedy <= legacy
         assert exhaustive <= greedy

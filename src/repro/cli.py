@@ -291,13 +291,11 @@ def _add_vectorizer_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--plan-select", choices=PLAN_SELECT_MODES, default="legacy",
         help="candidate-plan selection policy: 'legacy' reproduces the "
-             "greedy first-fit driver byte-for-byte; "
-             "'greedy-savings' and 'exhaustive' weigh overlapping "
-             "plans by projected savings per block; 'module-greedy' "
+             "greedy first-fit driver byte-for-byte; 'module-greedy' "
              "and 'module-exhaustive' pool every block of every "
-             "function and spend one shared selection budget where "
-             "the projected savings are largest (default: "
-             "%(default)s)",
+             "function, weigh overlapping plans by projected savings "
+             "and spend one shared selection budget where the "
+             "projected savings are largest (default: %(default)s)",
     )
     parser.add_argument(
         "--reg-pressure-weight", type=int, default=0, metavar="W",
@@ -360,8 +358,7 @@ def _add_vectorizer_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-select-subsets", type=int, default=None, metavar="N",
         help="budget: candidates/subsets the plan selector may "
-             "consider; one shared pool across the whole module under "
-             "the module-* selection modes",
+             "consider, one shared pool across the whole module",
     )
 
 
@@ -1097,7 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_options(p_batch)
     # the batch service's default; compile/run keep the paper-faithful
     # legacy driver
-    p_batch.set_defaults(handler=cmd_batch, plan_select="greedy-savings")
+    p_batch.set_defaults(handler=cmd_batch, plan_select="module-greedy")
 
     p_report = sub.add_parser(
         "report",

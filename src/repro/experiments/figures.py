@@ -304,7 +304,7 @@ def ablation_plan_select(kernels: Optional[Sequence[Kernel]] = None,
     savings-driven selection on kernels whose candidate plans overlap.
 
     The legacy driver commits the first profitable tree per seed group;
-    ``greedy-savings``/``exhaustive`` weigh the eagerly-enumerated
+    ``module-greedy``/``module-exhaustive`` weigh the eagerly-enumerated
     half-width plans against the full tree and keep whichever set of
     non-conflicting plans projects the lower total cost."""
     target = target if target is not None else skylake_like()
@@ -338,28 +338,26 @@ def ablation_module_select(kernels: Optional[Sequence[Kernel]] = None,
                            target: Optional[TargetCostModel] = None,
                            select_budget: int = MODULE_SELECT_BUDGET
                            ) -> FigureTable:
-    """Module-selection ablation: per-block vs module-wide selection
-    under one shared plan-selection budget.
+    """Module-selection ablation: greedy first-fit (``legacy``) vs
+    module-wide selection under one shared plan-selection budget.
 
     Every mode runs with ``Budget.max_select_subsets=select_budget``
-    shared across the whole module.  Per-block ``greedy-savings``
-    spends it block-by-block in program order and starves the payoff
-    blocks of the module-wide kernels; ``module-greedy`` sorts the
-    pooled candidates by projected savings and spends the same budget
-    where it matters (goSLP's global packing)."""
+    shared across the whole module.  The legacy driver commits the
+    first profitable tree per seed group in every block;
+    ``module-greedy`` sorts the pooled candidates by projected savings
+    and picks the payoff blocks' half-width plans while the budget
+    lasts (goSLP's global packing)."""
     target = target if target is not None else skylake_like()
     budget = Budget(max_select_subsets=select_budget)
     table = FigureTable(
         "Ablation module-select",
-        f"Per-block vs module-wide plan selection, "
+        f"First-fit vs module-wide plan selection, "
         f"{select_budget} shared selection-budget units",
         ["kernel", "plan-select", "static-cost", "vectorized-trees"],
     )
-    modes = ("legacy", "greedy-savings", "module-greedy",
-             "module-exhaustive")
     for kernel in (kernels if kernels is not None
                    else MODULEWIDE_KERNELS):
-        for mode in modes:
+        for mode in PLAN_SELECT_MODES:
             config = replace(VectorizerConfig.lslp(), plan_select=mode,
                              budget=budget)
             module, _ = kernel.build()
@@ -372,9 +370,10 @@ def ablation_module_select(kernels: Optional[Sequence[Kernel]] = None,
                 "vectorized-trees": vectorized,
             })
     table.notes.append(
-        "one shared max_select_subsets budget per compile; per-block "
-        "modes spend it in block order, module-* modes spend it on the "
-        "highest projected savings anywhere in the module"
+        "one shared max_select_subsets budget per compile; first-fit "
+        "vs module-wide: legacy commits the first profitable tree per "
+        "seed group, module-* modes spend the budget on the highest "
+        "projected savings anywhere in the module"
     )
     return table
 

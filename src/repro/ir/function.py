@@ -28,7 +28,11 @@ class Function:
             arg.parent = self
             self.arguments.append(arg)
         self.blocks: list[BasicBlock] = []
-        self._name_counts: dict[str, int] = {}
+        #: every name taken in this function (arguments, names handed
+        #: out or reserved) → the next suffix to try for it as a hint
+        self._name_counts: dict[str, int] = {
+            arg.name: 1 for arg in self.arguments
+        }
 
     # ---- blocks ----------------------------------------------------------
 
@@ -52,13 +56,21 @@ class Function:
     # ---- naming ----------------------------------------------------------
 
     def unique_name(self, hint: str = "t") -> str:
-        """Produce a value name unique within this function."""
+        """Produce a name no argument or earlier name of this function
+        has: the hint itself, else the hint with the first free numeric
+        suffix."""
         hint = hint or "t"
-        count = self._name_counts.get(hint, 0)
-        self._name_counts[hint] = count + 1
-        if count == 0:
-            return hint
-        return f"{hint}{count}"
+        taken = self._name_counts
+        count = taken.get(hint, 0)
+        name = hint
+        if count:
+            name = f"{hint}{count}"
+            while name in taken:
+                count += 1
+                name = f"{hint}{count}"
+            taken[name] = 1
+        taken[hint] = count + 1
+        return name
 
     def argument(self, name: str) -> Argument:
         """Fetch a formal argument by name."""

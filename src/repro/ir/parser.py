@@ -212,6 +212,8 @@ class _Parser:
         if inst is None:
             self._fail(f"unknown instruction {opcode!r}")
         if name:
+            if name in values:
+                self._fail(f"redefinition of value %{name}")
             inst.name = name
             func.unique_name(name)  # reserve so later auto-names don't clash
             values[name] = inst

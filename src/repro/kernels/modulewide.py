@@ -1,19 +1,17 @@
-"""Module-wide kernels: where per-block selection spends the shared
-budget in the wrong place.
+"""Module-wide kernels: overlapping-seed payoffs behind a decoy, under
+one shared selection budget.
 
-Per-block ``greedy-savings`` walks blocks in program order and spends
-the one shared selection budget (``Budget.max_select_subsets``, metered
-through the :class:`~repro.robustness.budget.ModuleMeter`) wherever a
-block happens to come first.  These kernels put a *decoy* — a clean,
-unambiguous seed family whose candidates soak up selection budget
-without needing any — ahead of one or more *payoff* bodies built on the
-:mod:`repro.kernels.overlap` recipe (full VL4 tree barely profitable at
-−4, the clean VL2 half −6).  Per-block selection runs dry before it
-reaches the payoff block and degrades to greedy first-fit there;
+Plan selection spends one shared selection budget
+(``Budget.max_select_subsets``, metered through the
+:class:`~repro.robustness.budget.ModuleMeter`) across the module.  These
+kernels put a *decoy* — a clean, unambiguous seed family whose
+candidates charge that budget without needing selection — ahead of one
+or more *payoff* bodies built on the :mod:`repro.kernels.overlap`
+recipe (full VL4 tree barely profitable at −4, the clean VL2 half −6).
+The legacy greedy first-fit driver commits each payoff's VL4 tree;
 ``module-greedy`` sorts the pooled candidates by projected savings, so
-the payoff halves are considered (and picked) before the budget runs
-out — goSLP's global packing, demonstrated on a budget the local flow
-wastes.
+payoff halves are considered (and picked) while the budget lasts —
+goSLP's global packing, demonstrated on a tight budget.
 
 The suite drives ``benchmarks/bench_ablation_module_select.py`` and the
 module-selection property tests; like the overlap kernels it is **not**
@@ -21,8 +19,8 @@ part of ``ALL_KERNELS`` (these are selection microbenchmarks, not paper
 workloads).
 
 ``MODULE_SELECT_BUDGET`` is the shared ``max_select_subsets`` value the
-ablation uses: large enough that module-greedy reaches every payoff
-half, small enough that per-block selection starves.
+ablation uses: small enough to run dry mid-module, large enough that
+module-greedy still reaches a payoff half in every kernel.
 """
 
 from __future__ import annotations
@@ -30,12 +28,11 @@ from __future__ import annotations
 from .catalog import Kernel
 
 #: the shared plan-selection budget (``Budget.max_select_subsets``)
-#: under which the module-greedy-vs-per-block gap below materializes
+#: the module-select ablation runs under
 MODULE_SELECT_BUDGET = 5
 
 #: a clean VL4 seed family: full width and both halves are all
-#: acceptable, so per-block selection charges the shared budget for
-#: every one of them before the payoff function is even planned
+#: acceptable, so each of them could charge the shared budget
 _DECOY = """
 long D[1024], E[8192], F[16384];
 void decoy(long i) {
@@ -66,10 +63,9 @@ MODULE_BUDGET_SKEW = Kernel(
     origin="module-select ablation (goSLP global packing, PAPERS.md)",
     description=(
         "Two functions: a clean decoy seed family first, then an "
-        "overlapping-seed payoff.  Per-block greedy-savings spends the "
-        "shared selection budget on the decoy's candidates and leaves "
-        "the payoff block at first-fit (-4); module-greedy considers "
-        "the payoff's -6 half before the budget runs dry."
+        "overlapping-seed payoff.  Greedy first-fit commits the "
+        "payoff's VL4 tree (-4); module-greedy considers the payoff's "
+        "-6 half before the shared selection budget runs dry."
     ),
     source=_DECOY + """
 long A[1024], B[8192], C[16384];
@@ -83,9 +79,9 @@ MODULE_BUDGET_TWIN = Kernel(
     origin="module-select ablation (goSLP global packing, PAPERS.md)",
     description=(
         "A decoy followed by two payoff functions: module-greedy picks "
-        "both -6 halves from the pooled candidates; per-block "
-        "greedy-savings reaches at most the first payoff before the "
-        "shared budget is gone."
+        "the payoff halves in savings order while the shared budget "
+        "lasts (the first payoff's under MODULE_SELECT_BUDGET); greedy "
+        "first-fit commits both VL4 trees."
     ),
     source=_DECOY + """
 long A[1024], B[8192], C[16384];
@@ -103,9 +99,9 @@ MODULE_CROSS_BLOCK = Kernel(
     origin="module-select ablation (goSLP global packing, PAPERS.md)",
     description=(
         "One function, two blocks: the decoy seeds sit in the entry "
-        "block, the payoff stores inside a loop body.  Selection "
-        "budget is spent per block in program order; module-wide "
-        "pooling reaches the loop body's -6 half first."
+        "block, the payoff stores inside a loop body.  Module-wide "
+        "pooling spends the shared selection budget in savings order "
+        "and reaches the loop body's -6 half within it."
     ),
     source="""
 long D[1024], E[8192], F[16384];

@@ -4,9 +4,10 @@ The legacy pipeline commits each store-seed group first-come-first-served
 at the widest width whose tree cost clears the threshold.  These kernels
 are built so the *full-width* VL4 tree is (barely) profitable but a VL2
 half is far better — the paper-faithful greedy driver takes the full
-tree and never looks back, while plan selection (``greedy-savings``/
-``exhaustive``) weighs the enumerated halves against it and wins.  They
-drive the plan-select ablation figure and the selection property tests.
+tree and never looks back, while plan selection (``module-greedy``/
+``module-exhaustive``) weighs the enumerated halves against it and
+wins.  They drive the plan-select ablation figure and the selection
+property tests.
 
 The recipe: lanes 0-1 are clean consecutive work; lanes 2-3 use strided
 addresses, so their loads gather (+1/lane each operand) at VL4.  Full

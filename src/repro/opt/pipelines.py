@@ -259,16 +259,15 @@ def _compile(funcs: list[Function], config: VectorizerConfig,
     """The one guarded compile loop.
 
     Each function runs the scalar "O3" passes under its own
-    :class:`PassGuard`.  Under block scope (``legacy``,
-    ``greedy-savings``, ``exhaustive``) it then runs ``slp``,
-    ``dce-post`` and the oracle before the next function starts,
-    because a later function may inline an earlier one.  Under module
-    scope (``module-*``) each function is planned right after its
-    scalar passes; one selection then spends the shared
-    ``max_select_subsets`` budget where projected savings are largest,
-    and each function's share is applied under the same guard that
-    covered its scalar passes.  Either way the oracle's "pre-slp"
-    reference is captured when ``slp`` starts, after scalar
+    :class:`PassGuard`.  Under ``legacy`` (and with vectorization off)
+    it then runs ``slp``, ``dce-post`` and the oracle before the next
+    function starts, because a later function may inline an earlier
+    one.  Under the selecting modes (``module-*``) each function is
+    planned right after its scalar passes; one selection then spends
+    the shared ``max_select_subsets`` budget where projected savings
+    are largest, and each function's share is applied under the same
+    guard that covered its scalar passes.  Either way the oracle's
+    "pre-slp" reference is captured when ``slp`` starts, after scalar
     optimization but before any vector code exists.
 
     Each function has one compile context, open for all of that and
@@ -279,7 +278,7 @@ def _compile(funcs: list[Function], config: VectorizerConfig,
         target = faults.perturb_cost_model(target)
     driver = (ModuleVectorizationDriver(config, target, module_meter)
               if config.enabled else None)
-    plan_ahead = driver is not None and driver.module_scope
+    plan_ahead = driver is not None and driver.selector is not None
     results: list[CompileResult] = []
     staged = []
     for func in funcs:
@@ -304,7 +303,7 @@ def _compile(funcs: list[Function], config: VectorizerConfig,
         else:
             results.append(_finish(stage, config, driver, faults,
                                    verify_each))
-    # Module scope selects once, in the first apply's context.
+    # The selecting modes select once, in the first apply's context.
     results.extend(_finish(stage, config, driver, faults, verify_each)
                    for stage in staged)
     return results

@@ -40,12 +40,11 @@ class Budget:
     max_module_lookahead_evals: Optional[int] = None
     #: wall-clock seconds of SLP work across the whole module
     max_module_seconds: Optional[float] = None
-    #: candidates/subsets the plan selector may consider.  Per function
-    #: when no module meter is shared; with a module meter (module-scope
-    #: compiles, the batch service, the module-* selection modes) this
-    #: is *one shared selection budget* across every function of the
-    #: job.  ``None`` leaves greedy selection unmetered and gives the
-    #: exhaustive DFS its built-in default cap.
+    #: candidates/subsets the plan selector may consider: *one shared
+    #: selection budget* across every function of one compile job,
+    #: metered by the :class:`ModuleMeter` the compile builds whenever
+    #: this is set.  ``None`` leaves greedy selection unmetered and
+    #: gives the exhaustive DFS its built-in default cap.
     max_select_subsets: Optional[int] = None
 
     @staticmethod
@@ -147,8 +146,8 @@ class ModuleMeter(_EventLog):
 
     def select_allowed(self) -> bool:
         """May the plan selector consider another candidate/subset
-        anywhere in the module?  This is the shared selection budget the
-        module-scope modes spend globally."""
+        anywhere in the module?  This is the one selection budget the
+        selecting modes spend."""
         cap = self.budget.max_select_subsets
         if cap is not None and self.select_subsets >= cap:
             self._note(
@@ -205,7 +204,6 @@ class BudgetMeter(_EventLog):
         self.budget = budget
         self.module = module
         self.lookahead_evals = 0
-        self.select_subsets = 0
         self._deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -302,7 +300,8 @@ class BudgetMeter(_EventLog):
         return not self.time_exceeded()
 
     def charge_select(self, count: int = 1) -> None:
-        self.select_subsets += count
+        """Selection is charged once, to the module meter's shared
+        budget."""
         if self.module is not None:
             self.module.charge_select(count)
 
@@ -315,15 +314,6 @@ class BudgetMeter(_EventLog):
                 "module-select",
                 "module-level plan-selection budget exhausted; this "
                 "function keeps the greedy first-fit selection",
-            )
-            return False
-        cap = self.budget.max_select_subsets
-        if cap is not None and self.select_subsets >= cap:
-            self._note(
-                "select",
-                f"plan-selection budget of {cap} candidate subsets "
-                f"exhausted after {self.select_subsets}; keeping the "
-                "greedy selection",
             )
             return False
         return not self.time_exceeded()

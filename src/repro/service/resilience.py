@@ -174,10 +174,7 @@ RUNG_NAMES = ("full", "reduced", "scalar", "refuse")
 
 #: selection modes the *reduced* rung downgrades (the heavy-tailed
 #: search spaces that make deadlines necessary in the first place)
-_REDUCED_PLAN_SELECT = {
-    "exhaustive": "greedy-savings",
-    "module-exhaustive": "module-greedy",
-}
+_REDUCED_PLAN_SELECT = {"module-exhaustive": "module-greedy"}
 
 
 def _merge_min_budget(current: Optional[Budget], cap: Budget) -> Budget:

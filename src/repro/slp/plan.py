@@ -15,8 +15,7 @@ this module performs that inversion in three layers:
   The default ``legacy`` mode defers entirely to the applier's greedy
   first-fit (reproducing the historical pipeline byte-for-byte); the
   other modes are opt-in and budget-metered, each a strategy (greedy,
-  or greedy plus a subset search) over a scope (one block, or every
-  block of the module).
+  or greedy plus a subset search) over every block of the module.
 * :class:`Applier` materializes the chosen plans through
   :class:`~repro.slp.codegen.VectorCodeGen` in deterministic order.  It
   emits a seed's planned graph as built while a rebuild provably
@@ -61,17 +60,15 @@ from .lookahead import LookAheadContext
 from .pressure import estimate_registers, register_excess
 from .seeds import SeedGroup, collect_reduction_seeds
 
-#: module-scope selection modes: candidates from every block of every
-#: function are pooled into one selection, and one shared selection
-#: budget is spent where the projected savings are largest
+#: the selecting modes: candidates from every block of every function
+#: are pooled into one selection, and one shared selection budget is
+#: spent where the projected savings are largest
 MODULE_SELECT_MODES: tuple[str, ...] = (
     "module-greedy", "module-exhaustive",
 )
 
 #: accepted ``VectorizerConfig.plan_select`` values
-PLAN_SELECT_MODES: tuple[str, ...] = (
-    "legacy", "greedy-savings", "exhaustive",
-) + MODULE_SELECT_MODES
+PLAN_SELECT_MODES: tuple[str, ...] = ("legacy",) + MODULE_SELECT_MODES
 
 #: subsets the exhaustive selector may visit when no explicit
 #: ``Budget.max_select_subsets`` cap is set
@@ -467,49 +464,32 @@ def _emit_plan_record(plan: TreePlan) -> None:
 
 
 class Selector:
-    """Picks a non-conflicting subset of candidates for a group of blocks.
+    """Picks a non-conflicting subset of candidates for every block of
+    the module.
 
     ``legacy`` never selects (the applier's greedy first-fit decides).
-    Every other mode is a strategy over a scope:
+    ``module-greedy`` and ``module-exhaustive`` pool every block of every
+    function; the latter adds a subset search to the greedy pass.
 
-    =====================  ===========================  ======
-    mode                   strategy                     scope
-    =====================  ===========================  ======
-    ``greedy-savings``     greedy                       block
-    ``exhaustive``         greedy, then subset search   block
-    ``module-greedy``      greedy                       module
-    ``module-exhaustive``  greedy, then subset search   module
-    =====================  ===========================  ======
-
-    :meth:`select` takes one group of ``(function, block_plan)`` pairs:
-    a single block under block scope, every block of every function
-    under module scope.  The greedy pass takes the group's eligible
-    store plans in one best-savings-first order, each charging one unit
-    of the selection budget, so under module scope a tight shared
-    ``Budget.max_select_subsets`` is spent on the highest projected
-    savings anywhere in the module (goSLP's global packing), where block
-    scope spends it on whichever block comes first.  The subset search
-    then refines one block at a time, most promising first, charged to
-    the same meter.  Reductions stay with the applier's loop, because
-    their seeds are collected on post-store IR.
+    :meth:`select` takes the group of ``(function, block_plan)`` pairs.
+    The greedy pass takes the group's eligible store plans in one
+    best-savings-first order, each charging one unit of the selection
+    budget, so a tight shared ``Budget.max_select_subsets`` is spent on
+    the highest projected savings anywhere in the module (goSLP's global
+    packing).  When the budget runs dry mid-greedy, the partial picks
+    stand.  The subset search then refines one block at a time, most
+    promising first, charged to the same meter; it skips blocks with no
+    eligible plan and stops once the budget is gone.  Reductions stay
+    with the applier's loop, because their seeds are collected on
+    post-store IR.
 
     Per block, a pick replaces the legacy-shaped first-fit subset only
-    when its total is *strictly* better, so with an unlimited budget
-    both scopes pick the same.  Two scope rules differ, and the
-    module-select ablation pins both:
-
-    * when the budget runs dry mid-greedy, block scope keeps the block's
-      first-fit shape; module scope compares its partial picks against
-      first-fit;
-    * block scope's subset search charges one visit even for a block
-      with no eligible plan; module scope skips such blocks and stops
-      searching once the shared budget is gone.
+    when its total is *strictly* better.
     """
 
     def __init__(self, config):
         self.mode = config.plan_select
-        self.module_scope = self.mode in MODULE_SELECT_MODES
-        self.exhaustive = self.mode in ("exhaustive", "module-exhaustive")
+        self.exhaustive = self.mode == "module-exhaustive"
         self.threshold = config.cost_threshold
         self.weight = config.reg_pressure_weight
 
@@ -535,8 +515,6 @@ class Selector:
                 plan for _, plan in sorted(block_plan.plans.items())
                 if plan.kind == "store" and self._acceptable(plan)
             ]
-            if not self.module_scope:
-                _metrics.add("plan.select_candidates", len(candidates))
             eligible, pressure_rejected = split_by_pressure(
                 candidates, self.weight, self.threshold
             )
@@ -562,27 +540,23 @@ class Selector:
             entry.picks.append(plan)
             entry.claimed = entry.claimed | plan.claimed
 
-        if budget_dry and not self.module_scope:
-            for entry in entries:
-                entry.picks = None
-        elif self.exhaustive and not budget_dry:
+        if self.exhaustive and not budget_dry:
             budget_dry = self._refine(entries, meter)
 
         selections = [self._verdict(entry) for entry in entries]
-        if self.module_scope:
-            selected = sum(len(s.chosen) for s in selections)
-            functions = len({function for function, _ in group})
-            _metrics.add("plan.module.functions", functions)
-            _metrics.add("plan.module.blocks", len(entries))
-            _metrics.add("plan.module.candidates", len(pool))
-            _metrics.add("plan.module.selected", selected)
-            if budget_dry:
-                _metrics.add("plan.module.budget_stopped")
-            _records.emit(
-                "module_select", mode=self.mode, functions=functions,
-                blocks=len(entries), candidates=len(pool),
-                selected=selected, budget_exhausted=budget_dry,
-            )
+        selected = sum(len(s.chosen) for s in selections)
+        functions = len({function for function, _ in group})
+        _metrics.add("plan.module.functions", functions)
+        _metrics.add("plan.module.blocks", len(entries))
+        _metrics.add("plan.module.candidates", len(pool))
+        _metrics.add("plan.module.selected", selected)
+        if budget_dry:
+            _metrics.add("plan.module.budget_stopped")
+        _records.emit(
+            "module_select", mode=self.mode, functions=functions,
+            blocks=len(entries), candidates=len(pool),
+            selected=selected, budget_exhausted=budget_dry,
+        )
         return selections
 
     def _refine(self, entries: list[_Entry], meter: BudgetMeter) -> bool:
@@ -597,11 +571,10 @@ class Selector:
         )
         for index in order:
             entry = entries[index]
-            if self.module_scope:
-                if not entry.eligible:
-                    continue
-                if not meter.select_allowed():
-                    return True
+            if not entry.eligible:
+                continue
+            if not meter.select_allowed():
+                return True
             entry.picks = exhaustive_subsets(
                 entry.eligible, meter, entry.picks, self._cost,
                 limit_state,
@@ -610,13 +583,12 @@ class Selector:
 
     def _verdict(self, entry: "_Entry") -> Selection:
         """The block's pick, unless the first-fit shape is at least as
-        good (or the pick was dropped because the budget ran dry)."""
-        ff_total = sum(self._cost(plan) for plan in entry.first_fit)
-        chosen, total, note = entry.first_fit, ff_total, "first-fit"
-        if entry.picks is not None:
-            picks_total = sum(self._cost(plan) for plan in entry.picks)
-            if picks_total < ff_total:
-                chosen, total, note = entry.picks, picks_total, self.mode
+        good."""
+        chosen, note = entry.first_fit, "first-fit"
+        total = sum(self._cost(plan) for plan in entry.first_fit)
+        picks_total = sum(self._cost(plan) for plan in entry.picks)
+        if picks_total < total:
+            chosen, total, note = entry.picks, picks_total, self.mode
         chosen_ids = tuple(sorted(plan.plan_id for plan in chosen))
         # A plan that still ended up chosen (the first-fit fallback is
         # pressure-blind by design) must not be blocked at apply time.
@@ -641,8 +613,8 @@ class _Entry:
         self.eligible = eligible
         self.pressure_rejected = pressure_rejected
         self.first_fit = first_fit
-        #: the strategy's picks; ``None`` keeps the first-fit shape
-        self.picks: Optional[list[TreePlan]] = []
+        #: the strategy's picks
+        self.picks: list[TreePlan] = []
         self.claimed: frozenset[int] = frozenset()
 
 

@@ -22,10 +22,9 @@ each block through the three phases of :mod:`repro.slp.plan`, and
 2. **select** — resolve conflicts between overlapping candidates.  The
    default ``plan_select="legacy"`` skips selection entirely and lets
    the applier's greedy first-fit decide, reproducing the historical
-   pipeline byte-for-byte; the other modes pick the best
-   non-conflicting subset by plan-time total cost, per block
-   (``"greedy-savings"``/``"exhaustive"``) or over the whole module
-   (``"module-greedy"``/``"module-exhaustive"``);
+   pipeline byte-for-byte; ``"module-greedy"``/``"module-exhaustive"``
+   pick the best non-conflicting subset by plan-time total cost over
+   the whole module;
 3. **apply** — materialize trees through ``VectorCodeGen`` in
    deterministic order, emitting a tree as planned while nothing has
    been emitted into its function since planning and no budget check
@@ -100,11 +99,10 @@ class VectorizerConfig:
     #: clock); ``None`` = unlimited, the historical behaviour
     budget: Optional[Budget] = None
     #: plan-selection mode: "legacy" (default) reproduces the greedy
-    #: first-fit byte-for-byte; "greedy-savings"/"exhaustive" pick the
-    #: best non-conflicting candidate subset by plan-time cost per
-    #: block; "module-greedy"/"module-exhaustive" pool every block of
-    #: every function and spend one shared selection budget where the
-    #: projected savings are largest
+    #: first-fit byte-for-byte; "module-greedy"/"module-exhaustive"
+    #: pool every block of every function, pick the best
+    #: non-conflicting candidate subset by plan-time cost and spend one
+    #: shared selection budget where the projected savings are largest
     plan_select: str = "legacy"
     #: selection-time penalty per vector register a plan needs beyond
     #: the target's register file (repro.slp.pressure); 0 disables the
@@ -271,7 +269,7 @@ class _PlannedBlock:
     aa: AliasAnalysis
     #: the function's emission count when this block was planned
     epoch: int = 0
-    #: the module-scope verdict, once :meth:`select` has run
+    #: the selection verdict, once :meth:`select` has run
     selection: Optional[Selection] = None
 
 
@@ -297,20 +295,19 @@ class ModuleVectorizationDriver:
     """The SLP driver (paper Figure 1): plan, select, apply.
 
     :meth:`plan_function` enumerates one function's candidates for
-    every block, read-only.  :meth:`select` runs the module-scope
+    every block, read-only.  :meth:`select` runs the module-wide
     selection over every function planned since the last call.
     :meth:`apply_function` materializes one function, block by block —
     callable per function, so a guarded pipeline
     (``repro.opt.pipelines``) can wrap each function's apply in its own
     pass guard.
 
-    Every ``plan_select`` mode runs here.  ``legacy`` never selects;
-    block scope (``greedy-savings``, ``exhaustive``) plans and selects
-    each block in :meth:`apply_function`, just before applying it, so
-    selection sees the look-ahead evals earlier blocks charged; module
-    scope (``module-*``) plans every function first, then selects once
-    for all of them.  A function :meth:`apply_function` meets
-    unplanned is, under module scope, planned and selected on its own.
+    Every ``plan_select`` mode runs here.  ``legacy`` never selects: it
+    plans each block in :meth:`apply_function`, just before applying
+    it.  The selecting modes (``module-*``) plan every function first,
+    then select once for all of them.  A function :meth:`apply_function`
+    meets unplanned is, under a selecting mode, planned and selected on
+    its own.
 
     Seeds and apply-phase analysis contexts are captured at plan time.
     The applier re-checks liveness; it emits a planned tree as built
@@ -336,12 +333,11 @@ class ModuleVectorizationDriver:
                 and config.budget.has_module_caps):
             module_meter = ModuleMeter(config.budget)
         self.module_meter = module_meter
-        self.module_scope = config.plan_select in MODULE_SELECT_MODES
         self.selector = (None if config.plan_select == "legacy"
                          else Selector(config))
         self._plan_ids = itertools.count()
         self._planned: dict[str, _PlannedFunction] = {}
-        #: planned functions awaiting the module-scope selection
+        #: planned functions awaiting the module-wide selection
         self._unselected: list[_PlannedFunction] = []
         self._select_events: list = []
 
@@ -352,7 +348,7 @@ class ModuleVectorizationDriver:
         without touching the IR."""
         planned = self._start(func)
         self._planned[func.name] = planned
-        if self.module_scope:
+        if self.selector is not None:
             self._unselected.append(planned)
         with compiling(func.name, self.config.name, "slp"), \
                 span("slp.module_plan", function=func.name,
@@ -361,10 +357,9 @@ class ModuleVectorizationDriver:
                 planned.blocks.append(self._plan_block(planned, block))
 
     def select(self) -> None:
-        """Phase 2 under module scope: one selection over every function
-        planned since the last call.  Block scope selects each block in
-        :meth:`apply_function` instead."""
-        if not self.module_scope or not self._unselected:
+        """Phase 2: one selection over every function planned since the
+        last call (``legacy`` never selects)."""
+        if self.selector is None or not self._unselected:
             return
         blocks = [(planned.report.function, pb)
                   for planned in self._unselected for pb in planned.blocks]
@@ -380,7 +375,7 @@ class ModuleVectorizationDriver:
     def apply_function(self, func: Function) -> VectorizationReport:
         """Phase 3 for one function: materialize its blocks in order."""
         with compiling(func.name, self.config.name, "slp") as context:
-            if self.module_scope:
+            if self.selector is not None:
                 if func.name not in self._planned:
                     self.plan_function(func)
                 self.select()
@@ -395,7 +390,7 @@ class ModuleVectorizationDriver:
                     pb = ahead.pop(id(block), None)
                     if pb is None:
                         pb = self._plan_block(planned, block)
-                    selection = self._selection(func.name, pb, meter)
+                    selection = self._selection(pb)
                     applier = Applier(self.config, self.target,
                                       untouched=pb.epoch == planned.emitted)
                     applier.apply(block, pb.block_plan, selection,
@@ -444,10 +439,11 @@ class ModuleVectorizationDriver:
     def _start(self, func: Function) -> _PlannedFunction:
         meter = BudgetMeter(self.config.budget, module=self.module_meter)
         meter.start_function()
-        # Block-scope plan ids restart per function, as block-scope plan
-        # dumps have always numbered them; (function, block, plan_id)
-        # is unique either way.
-        ids = self._plan_ids if self.module_scope else itertools.count()
+        # Legacy plan ids restart per function, as legacy plan dumps
+        # have always numbered them; (function, block, plan_id) is
+        # unique either way.
+        ids = (self._plan_ids if self.selector is not None
+               else itertools.count())
         return _PlannedFunction(
             VectorizationReport(func.name, self.config.name), meter,
             meter.phase_meter(), ids,
@@ -475,15 +471,9 @@ class ModuleVectorizationDriver:
         return _PlannedBlock(block, seeds, block_plan, ctx, aa,
                              epoch=planned.emitted)
 
-    def _selection(self, function: str, pb: _PlannedBlock,
-                   meter: BudgetMeter) -> Optional[Selection]:
+    def _selection(self, pb: _PlannedBlock) -> Optional[Selection]:
         if self.selector is None:
             return None
-        if not self.module_scope:
-            # Block scope charges the function meter, so selection sees
-            # the look-ahead evals earlier blocks charged.
-            return self.selector.select([(function, pb.block_plan)],
-                                        meter)[0]
         if pb.selection is None:
             # planned at apply time: the module selection never saw it
             return Selection(mode=self.config.plan_select, chosen=(),

@@ -111,7 +111,7 @@ class TestTrace:
 
 class TestSharedFlags:
     KNOBS = ["--look-ahead", "4", "--multi-node", "3",
-             "--plan-select", "exhaustive", "--reg-pressure-weight", "2",
+             "--plan-select", "module-exhaustive", "--reg-pressure-weight", "2",
              "--ifconvert", "cost", "--loop-vectorize",
              "--unroll-max-trip", "16", "--max-lookahead-evals", "7",
              "--max-select-subsets", "3"]

@@ -1,7 +1,16 @@
 """Printer/parser round-trip and error tests."""
 
+import re
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from repro.frontend import compile_kernel_source
+from repro.interp import compare_runs
+from repro.kernels import ALL_KERNELS, EXTENDED_KERNELS
+from repro.opt.pipelines import compile_module
+from repro.slp import VectorizerConfig
 from repro.ir import (
     Function,
     GlobalArray,
@@ -156,6 +165,82 @@ entry:
 """
     with pytest.raises(IRParseError):
         parse_module(text)
+
+
+def test_parse_rejects_redefined_value():
+    """A second definition must not silently shadow the first: every
+    later use would bind to the wrong value."""
+    text = """
+define void @k(i64 %i) {
+entry:
+  %a = add i64 %i, i64 1
+  %a = add i64 %i, i64 2
+  ret void
+}
+"""
+    with pytest.raises(IRParseError, match="redefinition of value %a"):
+        parse_module(text)
+    clash = ("define void @k(i64 %i) {\nentry:\n"
+             "  %i = add i64 %i, i64 1\n  ret void\n}\n")
+    with pytest.raises(IRParseError, match="redefinition of value %i"):
+        parse_module(clash)
+
+
+def test_unique_name_never_returns_a_taken_name():
+    func = Function("k", [("add", I64)])
+    assert func.unique_name("add") == "add1"
+    assert [func.unique_name("ptr") for _ in range(2)] == ["ptr", "ptr1"]
+    # an existing name passed back as the hint, as the inliner does
+    assert func.unique_name("ptr1") == "ptr11"
+    assert func.unique_name("ptr") == "ptr2"
+    func.unique_name("ld1")  # the parser reserves names as it meets them
+    assert [func.unique_name("ld") for _ in range(2)] == ["ld", "ld2"]
+
+
+def test_argument_named_like_an_opcode_round_trips():
+    """``%add = add i64 %add, i64 1`` used to read its own result."""
+    source = ("long A[64], B[64], C[64]; void kernel(long add) { "
+              "A[add + 1] = B[add + 2] + C[add]; A[add + 2] = B[add] * 3; }")
+    parsed = roundtrip(compile_kernel_source(source))
+    reference = compile_kernel_source(source)
+    outcome = compare_runs(
+        (reference, reference.get_function("kernel")),
+        (parsed, parsed.get_function("kernel")), args={"add": 1}, seed=3,
+    )
+    assert outcome.equivalent, outcome.detail
+
+
+LSLP_FULL = replace(VectorizerConfig.lslp(), name="LSLP-full",
+                    ifconvert="on", loop_vectorize=True,
+                    plan_select="module-greedy")
+_KERNELS = {k.name: k for k in list(ALL_KERNELS.values())
+            + list(EXTENDED_KERNELS)}
+_ARGUMENT = re.compile(r"%([\w.]+)[,)]")
+
+
+@pytest.mark.parametrize("kernel, config", [
+    ("ext.boy-surface-loop", VectorizerConfig.o3()),
+    ("ext.boy-surface-loop", VectorizerConfig.slp_nr()),
+    ("ext.mult-su2-lib", VectorizerConfig.o3()),
+    ("ext.mult-su2-lib", VectorizerConfig.slp_nr()),
+    ("loop-dot", LSLP_FULL),
+    ("loop-max", LSLP_FULL),
+    ("loop-saxpy", LSLP_FULL),
+    ("loop-strided-sum", LSLP_FULL),
+], ids=lambda value: getattr(value, "name", value))
+def test_inlined_and_unrolled_names_stay_unique(kernel, config):
+    """The inliner and unroller pass existing names (``ptr1``) back as
+    hints; the printed IR must still define each name once."""
+    module, _ = _KERNELS[kernel].build()
+    compile_module(module, config)
+    text = print_module(module)
+    for body in text.split("define ")[1:]:
+        header, _, rest = body.partition("\n")
+        names = _ARGUMENT.findall(header) + re.findall(
+            r"^\s*%([\w.]+) = ", rest, re.MULTILINE)
+        twice = [n for n, count in Counter(names).items() if count > 1]
+        assert not twice, (header, twice)
+    parse_module(text)
 
 
 def test_parse_rejects_unterminated_function():

@@ -2,11 +2,12 @@
 
 Four guarantees:
 
-* **Never worse**: without budget caps ``module-greedy`` matches
-  per-block ``greedy-savings`` exactly (candidates from different
-  blocks never conflict, so pooling cannot change the picks); under a
-  shared ``max_select_subsets`` budget the module-wide kernels show
-  where global ordering strictly wins.
+* **Never worse**: ``module-greedy`` never loses to the legacy
+  first-fit driver and ``module-exhaustive`` never loses to
+  ``module-greedy``; under a shared ``max_select_subsets`` budget the
+  module-wide kernels show where global ordering strictly wins, and
+  ``433.mult-su2`` shows the subset search strictly beating the greedy
+  pass.
 * **Determinism**: the module phase produces byte-identical reports,
   IR and plan-dump streams whether the batch runs serially or across
   pool workers.
@@ -43,8 +44,9 @@ from repro.obs.records import ListSink
 from repro.opt.pipelines import compile_module
 from repro.robustness import Budget
 from repro.service import CompilationService, job_for_kernel
-from repro.slp import VectorizerConfig
+from repro.slp import PLAN_SELECT_MODES, VectorizerConfig
 from repro.slp.pressure import register_excess
+from repro.slp.vectorizer import ModuleVectorizationDriver
 from tests.conftest import build_kernel
 from tests.test_property_differential import kernels
 
@@ -82,52 +84,63 @@ def _compile(kernel, mode, budget=None, target=None, weight=0):
 
 
 # ---------------------------------------------------------------------------
-# Never worse than per-block selection
+# Never worse than first-fit
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=30, deadline=None)
 @given(source=kernels())
 def test_module_selection_never_worse_property(source):
-    """With no budget, pooling cannot lose to per-block selection —
-    candidates in different blocks never conflict, so the module-wide
-    greedy pass makes the same picks."""
+    """Pooling never loses to first-fit, and the subset search never
+    loses to the greedy pass."""
     total = {}
-    for mode in ("greedy-savings",) + MODULE_MODES:
+    for mode in PLAN_SELECT_MODES:
         module = build_kernel(source)[0]
         results = compile_module(module, _config(mode))
         total[mode] = sum(r.static_cost for r in results)
-    assert total["module-greedy"] <= total["greedy-savings"], source
+    assert total["module-greedy"] <= total["legacy"], source
     assert total["module-exhaustive"] <= total["module-greedy"], source
-
-
-@pytest.mark.parametrize(
-    "kernel",
-    list(ALL_KERNELS.values())[:4] + OVERLAP_KERNELS,
-    ids=lambda k: k.name,
-)
-def test_module_matches_per_block_without_budget(kernel):
-    _, per_block, _ = _compile(kernel, "greedy-savings")
-    for mode in MODULE_MODES:
-        _, cost, _ = _compile(kernel, mode)
-        assert cost == per_block
 
 
 @pytest.mark.parametrize("kernel", MODULEWIDE_KERNELS,
                          ids=lambda k: k.name)
 def test_module_selection_wins_under_shared_budget(kernel):
-    """The acceptance bar: one shared selection budget, spent in block
-    order by per-block greedy-savings and by projected savings by the
-    module selector — the module-wide kernels are built so the global
-    ordering strictly wins."""
+    """The acceptance bar: one shared selection budget, spent by
+    projected savings by the module selector — the module-wide kernels
+    are built so the global ordering strictly beats first-fit."""
     _, legacy, _ = _compile(kernel, "legacy", SELECT_BUDGET)
-    _, greedy, _ = _compile(kernel, "greedy-savings", SELECT_BUDGET)
     _, module, _ = _compile(kernel, "module-greedy", SELECT_BUDGET)
     _, exhaustive, _ = _compile(kernel, "module-exhaustive",
                                 SELECT_BUDGET)
-    assert greedy <= legacy
-    assert module < greedy
+    assert module < legacy
     assert exhaustive <= module
+
+
+@pytest.mark.parametrize("base", [VectorizerConfig.slp(),
+                                  VectorizerConfig.lslp()],
+                         ids=lambda config: config.name)
+def test_subset_search_beats_greedy_on_mult_su2(base):
+    """The subset search earns its keep on a catalog kernel: the greedy
+    pass (like first-fit) takes ``433.mult-su2``'s one VL4 tree at -10,
+    the subset search finds its two VL2 halves at -8 each."""
+    kernel = ALL_KERNELS["433.mult-su2"]
+    reference = build_kernel(kernel.source)
+    trees = {}
+    for mode in PLAN_SELECT_MODES:
+        module, _ = kernel.build()
+        results = compile_module(module, replace(base, plan_select=mode))
+        trees[mode] = sorted((t.vector_length, t.cost) for r in results
+                             for t in r.report.trees if t.vectorized)
+        outcome = compare_runs(
+            reference, (module, module.get_function(kernel.entry)),
+            args=dict(kernel.default_args), seed=7,
+        )
+        assert outcome.equivalent, (mode, outcome.detail)
+    assert trees == {
+        "legacy": [(4, -10)],
+        "module-greedy": [(4, -10)],
+        "module-exhaustive": [(2, -8), (2, -8)],
+    }
 
 
 @pytest.mark.parametrize("kernel", MODULEWIDE_KERNELS,
@@ -223,11 +236,11 @@ def test_module_dump_covers_every_candidate_with_verdict():
     assert applied, kernel.name
 
 
-def test_block_scope_plan_dump_names_every_function():
-    """Block-scope plan ids restart per function; the function name
-    keeps each dump entry's (function, block, plan_id) key unique."""
+def test_legacy_plan_dump_names_every_function():
+    """Legacy plan ids restart per function; the function name keeps
+    each dump entry's (function, block, plan_id) key unique."""
     with _plan_dump() as plans:
-        _compile(MODULE_BUDGET_TWIN, "greedy-savings")
+        _compile(MODULE_BUDGET_TWIN, "legacy")
     keys = [(e["function"], e["block"], e["plan_id"]) for e in plans]
     assert len(keys) == 9
     assert len(set(keys)) == len(keys)
@@ -265,7 +278,7 @@ def test_register_excess_is_clamped():
     assert register_excess(3, 1) == 2
 
 
-@pytest.mark.parametrize("mode", ("greedy-savings",) + MODULE_MODES)
+@pytest.mark.parametrize("mode", MODULE_MODES)
 def test_pressure_rejection_on_small_register_file(mode):
     """On a one-register target with a heavy penalty, every plan whose
     estimate exceeds the file is rejected with an explicit
@@ -287,14 +300,14 @@ def test_pressure_rejection_on_small_register_file(mode):
 
 def test_pressure_weight_zero_is_pressure_blind():
     kernel = OVERLAP_KERNELS[0]
-    _, cost, vectorized = _compile(kernel, "greedy-savings",
+    _, cost, vectorized = _compile(kernel, "module-greedy",
                                    target=few_registers())
     assert cost < 0 and vectorized > 0
 
 
 def test_pressure_excess_zero_on_big_register_file():
     with _plan_dump() as plans:
-        _compile(OVERLAP_KERNELS[0], "greedy-savings",
+        _compile(OVERLAP_KERNELS[0], "module-greedy",
                  target=skylake_like(), weight=100)
     assert plans
     for entry in plans:
@@ -312,7 +325,7 @@ def test_cache_key_covers_selection_knobs():
     kernel = list(ALL_KERNELS.values())[0]
     base = job_for_kernel(kernel, VectorizerConfig.lslp())
     keys = {base.cache_key()}
-    for mode in ("greedy-savings", "exhaustive") + MODULE_MODES:
+    for mode in MODULE_MODES:
         job = job_for_kernel(
             kernel, replace(VectorizerConfig.lslp(), plan_select=mode)
         )
@@ -330,15 +343,15 @@ def test_cache_key_covers_selection_knobs():
 # ---------------------------------------------------------------------------
 
 
-def test_cli_batch_defaults_to_greedy_savings():
-    """The batch service promotes greedy-savings to its default;
+def test_cli_batch_defaults_to_module_greedy():
+    """The batch service promotes module-greedy to its default;
     ``lslp compile`` keeps the paper-faithful legacy driver."""
     from repro.cli import build_parser
 
     parser = build_parser()
     assert parser.parse_args(
         ["batch", "catalog"]
-    ).plan_select == "greedy-savings"
+    ).plan_select == "module-greedy"
     assert parser.parse_args(
         ["compile", "k.c"]
     ).plan_select == "legacy"
@@ -346,6 +359,19 @@ def test_cli_batch_defaults_to_greedy_savings():
     assert parser.parse_args(
         ["batch", "catalog", "--plan-select", "legacy"]
     ).plan_select == "legacy"
+
+
+@pytest.mark.parametrize("gone", ["greedy-savings", "exhaustive"])
+def test_block_scope_modes_are_gone(gone, capsys):
+    """Selection has one scope: first-fit, or the whole module."""
+    from repro.cli import build_parser
+
+    assert PLAN_SELECT_MODES == ("legacy",) + MODULE_MODES
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["compile", "k.c", "--plan-select", gone])
+    assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="unknown plan-select mode"):
+        ModuleVectorizationDriver(_config(gone))
 
 
 def test_cli_batch_module_greedy_plan_dump(tmp_path, capsys):
@@ -403,8 +429,7 @@ def test_cli_compile_selects_across_the_module(tmp_path, capsys):
                 f"{result.static_cost}, ") in out
 
 
-@pytest.mark.parametrize("mode", ["legacy", "greedy-savings",
-                                  "module-greedy"])
+@pytest.mark.parametrize("mode", PLAN_SELECT_MODES)
 def test_cli_run_meters_module_caps_in_every_mode(tmp_path, capsys,
                                                    mode):
     """A module look-ahead cap of one eval trips in every mode, so the

@@ -40,7 +40,7 @@ CONFIGS = (
     replace(LSLP, name="LSLP-exhaustive", reorder_strategy="exhaustive"),
     replace(LSLP, name="LSLP-full", ifconvert="on", loop_vectorize=True),
 )
-MODES = ("legacy", "greedy-savings", "module-greedy")
+MODES = ("legacy", "module-greedy", "module-exhaustive")
 BUDGETS = (
     None,
     Budget.reduced(),

@@ -7,9 +7,9 @@ Two halves:
   driver lives here as :class:`ReferenceGreedy`; the catalog kernels and
   hypothesis-generated programs are compiled both ways and the final IR,
   tree records and build stats must match exactly.
-* **Selection**: ``greedy-savings`` never produces a worse total static
-  cost than ``legacy`` (and ``exhaustive`` never worse than
-  ``greedy-savings``), every candidate plan is visible through the
+* **Selection**: ``module-greedy`` never produces a worse total static
+  cost than ``legacy`` (and ``module-exhaustive`` never worse than
+  ``module-greedy``), every candidate plan is visible through the
   plan/select/reject and plan.dump records, and the budget knobs
   (seed-abort remark, plan-selection subset cap) surface as remarks.
 """
@@ -33,11 +33,12 @@ from repro.opt.pipelines import scalar_pipeline
 from repro.robustness.budget import Budget
 from repro.kernels import ALL_KERNELS, OVERLAP_KERNELS
 from repro.service.serde import tree_from_dict, tree_to_dict
-from repro.slp import VectorizerConfig
+from repro.slp import PLAN_SELECT_MODES, VectorizerConfig
 from repro.slp.builder import BuildStats, GraphBuilder
 from repro.slp.codegen import VectorCodeGen
 from repro.slp.cost import compute_graph_cost
 from repro.slp.lookahead import LookAheadContext
+from repro.slp.plan import MODULE_SELECT_MODES
 from repro.slp.reductions import emit_reduction, plan_reduction
 from repro.slp.seeds import (
     SeedGroup,
@@ -207,7 +208,7 @@ def test_legacy_matches_reference_on_random_kernels(source):
 
 def costs_by_mode(source):
     total = {}
-    for mode in ("legacy", "greedy-savings", "exhaustive"):
+    for mode in PLAN_SELECT_MODES:
         config = replace(VectorizerConfig.lslp(), plan_select=mode)
         _, func = build_kernel(source)
         total[mode] = compile_function(func, config).static_cost
@@ -218,15 +219,15 @@ def costs_by_mode(source):
 @given(source=kernels())
 def test_selection_never_worse_than_legacy(source):
     total = costs_by_mode(source)
-    assert total["greedy-savings"] <= total["legacy"], source
-    assert total["exhaustive"] <= total["greedy-savings"], source
+    assert total["module-greedy"] <= total["legacy"], source
+    assert total["module-exhaustive"] <= total["module-greedy"], source
 
 
 @pytest.mark.parametrize("kernel", OVERLAP_KERNELS, ids=lambda k: k.name)
 def test_selection_wins_on_overlapping_seeds(kernel):
     total = costs_by_mode(kernel.source)
-    assert total["greedy-savings"] < total["legacy"]
-    assert total["exhaustive"] <= total["greedy-savings"]
+    assert total["module-greedy"] < total["legacy"]
+    assert total["module-exhaustive"] <= total["module-greedy"]
 
 
 def test_selection_preserves_semantics():
@@ -235,7 +236,7 @@ def test_selection_preserves_semantics():
 
     for kernel in OVERLAP_KERNELS:
         reference = build_kernel(kernel.source)
-        for mode in ("greedy-savings", "exhaustive"):
+        for mode in MODULE_SELECT_MODES:
             config = replace(VectorizerConfig.lslp(), plan_select=mode)
             module, func = build_kernel(kernel.source)
             compile_function(func, config)
@@ -256,7 +257,7 @@ def test_plan_records_and_sink_cover_every_candidate():
     records.set_sink(sink)
     try:
         config = replace(VectorizerConfig.lslp(),
-                         plan_select="greedy-savings")
+                         plan_select="module-greedy")
         _, func = build_kernel(OVERLAP_KERNELS[0].source)
         compile_function(func, config)
     finally:
@@ -276,7 +277,7 @@ def test_plan_records_and_sink_cover_every_candidate():
     outcomes = {e["outcome"] for e in plans}
     assert "applied" in outcomes
     for entry in plans:
-        assert entry["mode"] == "greedy-savings"
+        assert entry["mode"] == "module-greedy"
         assert "total_cost" in entry and "description" in entry
 
 
@@ -299,7 +300,7 @@ def test_budget_abort_leaves_explicit_remark():
 
 def test_select_subset_budget_trips_event():
     config = replace(
-        VectorizerConfig.lslp(), plan_select="exhaustive",
+        VectorizerConfig.lslp(), plan_select="module-exhaustive",
         budget=Budget(max_select_subsets=1),
     )
     _, func = build_kernel(OVERLAP_KERNELS[1].source)
@@ -322,7 +323,7 @@ def test_select_subset_budget_trips_event():
 
 def test_serde_skips_descriptions_of_unvectorized_trees():
     config = replace(VectorizerConfig.lslp(),
-                     plan_select="greedy-savings")
+                     plan_select="module-greedy")
     _, func = build_kernel(OVERLAP_KERNELS[0].source)
     result = compile_function(func, config)
     rejected = [t for t in result.report.trees if not t.vectorized]

@@ -188,6 +188,41 @@ def test_truncated_ir_payload_is_a_miss(tmp_path):
     assert disk.corrupt == 1
 
 
+@pytest.mark.parametrize("config", [VectorizerConfig.o3(),
+                                    VectorizerConfig.lslp()],
+                         ids=lambda config: config.name)
+def test_memory_hit_computes_what_the_cold_compile_did(config):
+    """A hit rehydrates the printed IR; an inlined name that collided
+    with the caller's used to rebind a use to the wrong value there."""
+    from repro.frontend import compile_kernel_source
+    from repro.interp import compare_runs
+    from repro.service import CompilationService
+
+    source = """
+long A[64], B[64], C[64];
+long helper(long i) { A[i + 2] = B[i + 3] * C[i + 4]; return A[i + 0]; }
+void kernel(long i) {
+    long x = C[i + 9] * 3;
+    long y = C[i + 10] * 5;
+    B[i + 8] = x + helper(i);
+    B[i + 9] = y + x;
+}
+"""
+    service = CompilationService(cache=CompileCache(memory_capacity=16))
+    job = job_for_source("collide", source, config, args={"i": 0})
+    reference = compile_kernel_source(source)
+    for tier in ("", "memory"):
+        result = service.compile_job(job)
+        assert result.cache_tier == tier
+        module = result.module
+        outcome = compare_runs(
+            (reference, reference.get_function("kernel")),
+            (module, module.get_function("kernel")), args={"i": 0},
+            seed=5,
+        )
+        assert outcome.equivalent, (tier, outcome.detail)
+
+
 def test_key_mismatch_inside_entry_is_a_miss(tmp_path):
     entry = _entry()
     disk = DiskCache(tmp_path)

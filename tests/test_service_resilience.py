@@ -135,10 +135,11 @@ def test_rung_full_is_identity():
 
 
 def test_reduced_rung_strips_exhaustive_selection_and_caps_budget():
-    config = replace(VectorizerConfig.lslp(), plan_select="exhaustive")
+    config = replace(VectorizerConfig.lslp(),
+                     plan_select="module-exhaustive")
     job = _job(config)
     reduced = job_at_rung(job, RUNG_REDUCED)
-    assert reduced.config.plan_select == "greedy-savings"
+    assert reduced.config.plan_select == "module-greedy"
     assert reduced.config.budget is not None
     cap = Budget.reduced()
     assert (reduced.config.budget.max_lookahead_evals
@@ -161,7 +162,7 @@ def test_scalar_rung_disables_vectorization():
 
 
 @pytest.mark.parametrize("config, rungs", [
-    (replace(VectorizerConfig.lslp(), plan_select="exhaustive"),
+    (replace(VectorizerConfig.lslp(), plan_select="module-exhaustive"),
      [RUNG_FULL, RUNG_REDUCED, RUNG_SCALAR, RUNG_REFUSE]),
     # vectorization off: no rung below full changes the compile
     (VectorizerConfig.o3(), [RUNG_FULL, RUNG_REFUSE]),
@@ -175,7 +176,7 @@ def test_next_rung_descends_and_bottoms_out(config, rungs):
 @pytest.mark.parametrize("config, lower", [
     # Already compiled with the reduced rung's exact posture: stepping
     # down must go straight to scalar, not re-run the identical compile.
-    (replace(VectorizerConfig.lslp(), plan_select="greedy-savings",
+    (replace(VectorizerConfig.lslp(), plan_select="module-greedy",
              budget=Budget.reduced()), RUNG_SCALAR),
     (VectorizerConfig.o3(), RUNG_REFUSE),
 ], ids=["reduced-posture", "o3"])
@@ -506,7 +507,7 @@ def test_retry_success_is_counted(monkeypatch):
 SHED_CONFIGS = {
     "lslp": VectorizerConfig.lslp(),
     "lslp-exhaustive": replace(VectorizerConfig.lslp(),
-                               plan_select="exhaustive"),
+                               plan_select="module-exhaustive"),
     "o3": VectorizerConfig.o3(),
 }
 
