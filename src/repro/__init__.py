@@ -51,11 +51,7 @@ from .ir import (
     verify_module,
 )
 from .opt import compile_function, compile_module, CompileResult
-from .slp import (
-    SLPVectorizer,
-    VectorizationReport,
-    VectorizerConfig,
-)
+from .slp import VectorizationReport, VectorizerConfig
 
 __version__ = "1.0.0"
 
@@ -76,7 +72,6 @@ __all__ = [
     "print_module",
     "run_on_fresh_memory",
     "skylake_like",
-    "SLPVectorizer",
     "target_by_name",
     "TargetCostModel",
     "TargetDescription",

@@ -29,7 +29,7 @@ from .ir.printer import print_function, print_module
 from .kernels.catalog import ALL_KERNELS
 from .obs.tracing import span
 from .opt.ifconvert import IFCONVERT_MODES
-from .opt.pipelines import compile_function, compile_module
+from .opt.pipelines import compile_module
 from .robustness.budget import Budget
 from .robustness.diagnostics import CompilerError, DiagnosticEngine, Remark
 from .robustness.guard import DifferentialOracle, GuardPolicy
@@ -120,6 +120,15 @@ def _print_remarks(remarks, enabled: bool) -> None:
         return
     for remark in remarks:
         print(f"; {remark.render()}")
+
+
+def _print_outcome(result, config_remarks, remarks: bool) -> None:
+    """One function's remarks (after the config's) and, on stderr, the
+    passes its guard rolled back."""
+    _print_remarks(config_remarks + result.remarks, remarks)
+    if result.rolled_back:
+        print(f"; @{result.function.name}: rolled back pass(es): "
+              f"{', '.join(result.rolled_back)}", file=sys.stderr)
 
 
 class _ObsSession:
@@ -396,11 +405,8 @@ def cmd_compile(args) -> int:
                              verify_each=args.verify_each)
     for result in results:
         func = result.function
-        _print_remarks(config_remarks + result.remarks, args.remarks)
+        _print_outcome(result, config_remarks, args.remarks)
         config_remarks = []
-        if result.rolled_back:
-            print(f"; @{func.name}: rolled back pass(es): "
-                  f"{', '.join(result.rolled_back)}", file=sys.stderr)
         if args.stats:
             stats = result.report.stats
             print(f"; @{func.name} stats: {stats.nodes} nodes, "
@@ -465,9 +471,14 @@ def cmd_run(args) -> int:
             module, func, args=runtime_args, runs=verify_runs,
             base_seed=args.seed, target=target,
         )
-    result = compile_function(func, config, target, guard=guard,
-                              oracle=oracle)
-    _print_remarks(config_remarks + result.remarks, args.remarks)
+    results = compile_module(
+        module, config, target, guard=guard,
+        oracles=lambda f: oracle if f is func else None,
+    )
+    for result in results:
+        _print_outcome(result, config_remarks, args.remarks)
+        config_remarks = []
+    result = next(r for r in results if r.function is func)
     if args.verify:
         if "oracle" in result.rolled_back:
             detail = next(
@@ -481,9 +492,6 @@ def cmd_run(args) -> int:
             print(f"verify: @{func.name} scalar and {config.name} "
                   f"outputs match ({verify_runs} run(s), "
                   f"seeds {args.seed}..{args.seed + verify_runs - 1})")
-    elif result.rolled_back:
-        print(f"; @{func.name}: rolled back pass(es): "
-              f"{', '.join(result.rolled_back)}", file=sys.stderr)
 
     if args.verify and args.backend != "interp":
         # The oracle above proved scalar == vectorized on the

@@ -256,19 +256,18 @@ def _compile(funcs: list[Function], config: VectorizerConfig,
              oracles: Optional[
                  Callable[[Function], Optional[DifferentialOracle]]
              ]) -> list[CompileResult]:
-    """The one guarded compile loop.
+    """The one guarded compile loop, in one order for every mode.
 
-    Each function runs the scalar "O3" passes under its own
-    :class:`PassGuard`.  Under ``legacy`` (and with vectorization off)
-    it then runs ``slp``, ``dce-post`` and the oracle before the next
-    function starts, because a later function may inline an earlier
-    one.  Under the selecting modes (``module-*``) each function is
-    planned right after its scalar passes; one selection then spends
-    the shared ``max_select_subsets`` budget where projected savings
-    are largest, and each function's share is applied under the same
-    guard that covered its scalar passes.  Either way the oracle's
-    "pre-slp" reference is captured when ``slp`` starts, after scalar
-    optimization but before any vector code exists.
+    Each function first runs the scalar "O3" passes under its own
+    :class:`PassGuard` and is planned right after them, so a caller
+    inlines its callees' scalar bodies, as the paper's pipeline does
+    before SLP runs (§2.1).  Then each function, in source order, runs
+    ``slp`` and ``dce-post`` under the same guard, and its oracle; the
+    first ``slp`` runs the one selection (none under ``legacy``), which
+    spends the shared ``max_select_subsets`` budget where projected
+    savings are largest.  The oracle's "pre-slp" reference is captured
+    when ``slp`` starts, after scalar optimization but before any vector
+    code exists.
 
     Each function has one compile context, open for all of that and
     handed to its guard; its remarks are ``CompileResult.remarks``.
@@ -278,8 +277,6 @@ def _compile(funcs: list[Function], config: VectorizerConfig,
         target = faults.perturb_cost_model(target)
     driver = (ModuleVectorizationDriver(config, target, module_meter)
               if config.enabled else None)
-    plan_ahead = driver is not None and driver.selector is not None
-    results: list[CompileResult] = []
     staged = []
     for func in funcs:
         context = DiagnosticEngine(func.name, config.name)
@@ -295,18 +292,11 @@ def _compile(funcs: list[Function], config: VectorizerConfig,
             with span("compile.scalar", function=func.name,
                       config=config.name):
                 timing = manager.run_function(func)
-            if plan_ahead:
+            if driver is not None:
                 driver.plan_function(func)
-        stage = (func, timing, pass_guard, context)
-        if plan_ahead:
-            staged.append(stage)
-        else:
-            results.append(_finish(stage, config, driver, faults,
-                                   verify_each))
-    # The selecting modes select once, in the first apply's context.
-    results.extend(_finish(stage, config, driver, faults, verify_each)
-                   for stage in staged)
-    return results
+        staged.append((func, timing, pass_guard, context))
+    return [_finish(stage, config, driver, faults, verify_each)
+            for stage in staged]
 
 
 def _finish(stage, config: VectorizerConfig,

@@ -37,7 +37,6 @@ from .seeds import (
     collect_store_seeds,
 )
 from .vectorizer import (
-    SLPVectorizer,
     TreeRecord,
     VectorizationReport,
     VectorizerConfig,
@@ -79,7 +78,6 @@ __all__ = [
     "TreePlan",
     "SLPGraph",
     "SLPNode",
-    "SLPVectorizer",
     "TreeRecord",
     "VectorCodeGen",
     "VectorizableNode",

@@ -12,26 +12,29 @@ this module performs that inversion in three layers:
   down to VL2), plus reduction plans — without touching the IR.
 * :class:`Selector` resolves conflicts between plans that claim the same
   stores/instructions and picks the subset with the best total cost.
-  The default ``legacy`` mode defers entirely to the applier's greedy
-  first-fit (reproducing the historical pipeline byte-for-byte); the
+  The default ``legacy`` mode never selects: its blocks keep the empty
+  :class:`Selection`, so the applier's greedy first-fit decides every
+  tree (reproducing the historical pipeline's trees byte-for-byte); the
   other modes are opt-in and budget-metered, each a strategy (greedy,
   or greedy plus a subset search) over every block of the module.
-* :class:`Applier` materializes the chosen plans through
-  :class:`~repro.slp.codegen.VectorCodeGen` in deterministic order.  It
-  emits a seed's planned graph as built while a rebuild provably
-  returns the same graph, cost, stats and verdict (nothing emitted into
-  the function since planning, no budget check that could answer
-  differently), and otherwise rebuilds and re-checks the tree on the
-  current IR (an earlier application can invalidate a plan-time
-  verdict).
+* :class:`Applier` materializes a block's selection through
+  :class:`~repro.slp.codegen.VectorCodeGen` in deterministic order —
+  the chosen plans, then a first-fit sweep over every seed selection
+  left on the table, then the reductions.  It emits a seed's planned
+  graph as built while a rebuild provably returns the same graph,
+  cost, stats and verdict (nothing emitted into the function since
+  planning, no budget check that could answer differently), and
+  otherwise rebuilds and re-checks the tree on the current IR (an
+  earlier application can invalidate a plan-time verdict).
 
-Byte-stability contract: in ``legacy`` mode the applier re-runs the
-historical greedy loop *exactly* — same seed iteration, same graphs
-charged to the same function meter, same records, same report — while
-the planner runs beforehand on its own analysis context and its own
-phase-scoped budget meter, so planning never perturbs what the legacy
-path produces.  A reused plan's ``reorder`` records stream once, from
-planning, where a rebuild streams them again.
+Byte-stability contract: under the empty selection (``legacy``) the
+applier's sweep re-runs the historical greedy loop *exactly* — same
+seed iteration, same graphs charged to the same function meter, same
+trees, same report — while the planner runs beforehand on its own
+analysis context and its own phase-scoped budget meter, so planning
+never perturbs the trees the legacy path produces.  A block's ``seed``
+records lead its apply records, and a reused plan's ``reorder`` records
+stream once, from planning, where a rebuild streams them again.
 
 Every candidate's fate is observable: ``plan`` records at enumeration,
 ``select``/``reject`` records after reconciliation, ``plan.*`` metrics,
@@ -243,8 +246,6 @@ class BlockPlan:
     reductions: list[int] = field(default_factory=list)
     #: full-width plan id → (left-half id, right-half id)
     children: dict[int, tuple[int, int]] = field(default_factory=dict)
-    #: plan id → (outcome, reason) filled in by :func:`record_outcomes`
-    outcomes: dict[int, tuple[str, str]] = field(default_factory=dict)
 
     def add(self, plan: TreePlan) -> None:
         self.plans[plan.plan_id] = plan
@@ -252,16 +253,11 @@ class BlockPlan:
 
 @dataclass(frozen=True)
 class Selection:
-    """The selector's verdict for one block."""
+    """The selector's verdict for one block; the empty selection leaves
+    every tree to the applier's first-fit sweep."""
 
-    mode: str
     #: chosen plan ids in ascending (deterministic apply) order
-    chosen: tuple[int, ...]
-    #: plan-time total cost of the chosen subset
-    planned_total: int
-    #: which strategy produced the winner ("first-fit" when the mode's
-    #: pick was not strictly better than the legacy-shaped one)
-    note: str = ""
+    chosen: tuple[int, ...] = ()
     #: plan ids that were acceptable on raw cost but rejected once the
     #: register-pressure penalty was applied; the applier's sweep must
     #: not resurrect them
@@ -467,7 +463,8 @@ class Selector:
     """Picks a non-conflicting subset of candidates for every block of
     the module.
 
-    ``legacy`` never selects (the applier's greedy first-fit decides).
+    ``legacy`` has no selector: its blocks keep the empty
+    :class:`Selection`, and the applier's greedy first-fit decides.
     ``module-greedy`` and ``module-exhaustive`` pool every block of every
     function; the latter adds a subset search to the greedy pass.
 
@@ -584,11 +581,10 @@ class Selector:
     def _verdict(self, entry: "_Entry") -> Selection:
         """The block's pick, unless the first-fit shape is at least as
         good."""
-        chosen, note = entry.first_fit, "first-fit"
-        total = sum(self._cost(plan) for plan in entry.first_fit)
-        picks_total = sum(self._cost(plan) for plan in entry.picks)
-        if picks_total < total:
-            chosen, total, note = entry.picks, picks_total, self.mode
+        chosen = entry.first_fit
+        if (sum(self._cost(plan) for plan in entry.picks)
+                < sum(self._cost(plan) for plan in entry.first_fit)):
+            chosen = entry.picks
         chosen_ids = tuple(sorted(plan.plan_id for plan in chosen))
         # A plan that still ended up chosen (the first-fit fallback is
         # pressure-blind by design) must not be blocked at apply time.
@@ -596,8 +592,7 @@ class Selector:
             pid for pid in entry.pressure_rejected
             if pid not in chosen_ids
         )
-        return Selection(mode=self.mode, chosen=chosen_ids,
-                         planned_total=total, note=note,
+        return Selection(chosen=chosen_ids,
                          pressure_rejected=pressure_rejected)
 
 
@@ -717,19 +712,22 @@ def exhaustive_subsets(candidates: list[TreePlan], meter: BudgetMeter,
 
 
 class Applier:
-    """Materializes plans; in ``legacy`` mode this *is* the historical
-    greedy pipeline, instruction for instruction.
+    """Materializes one block's :class:`Selection`: the chosen plans,
+    then a first-fit sweep over every seed selection left on the table,
+    then the reductions.  Under the empty selection (``legacy``) the
+    sweep *is* the historical greedy pipeline, instruction for
+    instruction.
 
-    A seed about to be tried takes its plan — the chosen one under
-    selection, else the block plan's plan over the same stores (or the
-    same reduction) — and emits that plan's graph, cost, stats and
-    schedulability verdict as built, charging the function meter the
-    plan's look-ahead evals, whenever a rebuild provably returns exactly
-    the same (see :func:`_reusable`).  Every other tree is rebuilt on the
-    current IR, because an earlier application can invalidate lanes,
-    change gather contents, or shift costs; the rebuild uses the
-    applier's own analysis context and charges the function meter,
-    which is exactly what the legacy pipeline did.
+    A seed about to be tried takes its plan — the chosen one, else the
+    block plan's plan over the same stores (or the same reduction) — and
+    emits that plan's graph, cost, stats and schedulability verdict as
+    built, charging the function meter the plan's look-ahead evals,
+    whenever a rebuild provably returns exactly the same (see
+    :func:`_reusable`).  Every other tree is rebuilt on the current IR,
+    because an earlier application can invalidate lanes, change gather
+    contents, or shift costs; the rebuild uses the applier's own
+    analysis context and charges the function meter, which is exactly
+    what the legacy pipeline did.
 
     ``untouched`` says that nothing has been emitted into the function
     since this block was planned; the first emission here ends reuse.
@@ -745,33 +743,51 @@ class Applier:
         self.applied_reductions: list[tuple[int, int]] = []
 
     def apply(self, block: BasicBlock, block_plan: BlockPlan,
-              selection: Optional[Selection], seeds: list[SeedGroup],
+              selection: Selection, seeds: list[SeedGroup],
               ctx: LookAheadContext, aa: AliasAnalysis, report,
               meter: BudgetMeter) -> None:
-        self._block = block
         self._ctx = ctx
         self._aa = aa
         self._report = report
         self._meter = meter
         # Store sets whose plans selection rejected on register
         # pressure: the (pressure-blind) sweep must not resurrect them.
-        self._blocked: frozenset[frozenset[int]] = frozenset()
-        if selection is not None and selection.pressure_rejected:
-            self._blocked = frozenset(
-                frozenset(id(store)
-                          for store in block_plan.plans[pid].seed.stores)
-                for pid in selection.pressure_rejected
-                if block_plan.plans[pid].kind == "store"
-            )
+        self._blocked: frozenset[frozenset[int]] = frozenset(
+            frozenset(id(store)
+                      for store in block_plan.plans[pid].seed.stores)
+            for pid in selection.pressure_rejected
+            if block_plan.plans[pid].kind == "store"
+        )
         self._plans = (
             {_plan_key(plan.kind, plan.seed): plan
              for plan in block_plan.plans.values()}
             if self.untouched else {}
         )
-        if selection is None:
-            self._apply_legacy(block, seeds)
-        else:
-            self._apply_selected(block, block_plan, selection, seeds)
+        for seed in seeds:
+            if not seed.alive():
+                continue
+            _metrics.add("slp.seeds")
+            _records.emit("seed", kind="store", block=block.name,
+                          vector_length=seed.vector_length)
+        for plan_id in selection.chosen:
+            plan = block_plan.plans[plan_id]
+            if self._meter.time_exceeded():
+                self._abort_remark(block, seeds)
+                return
+            if not plan.seed.alive():
+                continue
+            record = self._try_store_tree(plan.seed)
+            if record.vectorized:
+                self._report.trees.append(record)
+            # On apply-time divergence the record is dropped: the sweep
+            # below re-attempts the family first-fit and produces the
+            # canonical records for whatever it decides.
+        for index, seed in enumerate(seeds):
+            if self._meter.time_exceeded():
+                self._abort_remark(block, seeds[index:])
+                return
+            self._sweep(seed)
+        self._apply_reductions(block)
 
     @property
     def emitted(self) -> int:
@@ -792,21 +808,21 @@ class Applier:
         self._meter.charge_lookahead(plan.stats.lookahead_evals)
         return plan
 
-    # ---- legacy first-fit (byte-for-byte historical behaviour) -------
+    # ---- first-fit (byte-for-byte historical behaviour) --------------
 
-    def _apply_legacy(self, block: BasicBlock,
-                      seeds: list[SeedGroup]) -> None:
-        for index, seed in enumerate(seeds):
-            if not seed.alive():
-                continue
-            if self._meter.time_exceeded():
-                self._abort_remark(block, seeds[index:])
-                return
-            _metrics.add("slp.seeds")
-            _records.emit("seed", kind="store", block=block.name,
-                          vector_length=seed.vector_length)
+    def _sweep(self, seed: SeedGroup) -> None:
+        """First-fit over everything selection left on the table: a
+        still-alive family gets the legacy width descent; a partially
+        applied family descends to its still-alive halves."""
+        if seed.alive():
             self._vectorize_seed(seed)
-        self._apply_reductions(block)
+            return
+        if seed.vector_length < 4:
+            return
+        half = seed.vector_length // 2
+        for part in (SeedGroup(seed.stores[:half]),
+                     SeedGroup(seed.stores[half:])):
+            self._sweep(part)
 
     def _apply_reductions(self, block: BasicBlock) -> None:
         """The historical reduction loop: seeds are collected on the
@@ -922,51 +938,6 @@ class Applier:
         _emit_group(record)
         return record
 
-    # ---- selected-plan application -----------------------------------
-
-    def _apply_selected(self, block: BasicBlock, block_plan: BlockPlan,
-                        selection: Selection,
-                        seeds: list[SeedGroup]) -> None:
-        for seed in seeds:
-            if not seed.alive():
-                continue
-            _metrics.add("slp.seeds")
-            _records.emit("seed", kind="store", block=block.name,
-                          vector_length=seed.vector_length)
-        for plan_id in selection.chosen:
-            plan = block_plan.plans[plan_id]
-            if self._meter.time_exceeded():
-                self._abort_remark(block, seeds)
-                return
-            if not plan.seed.alive():
-                continue
-            record = self._try_store_tree(plan.seed)
-            if record.vectorized:
-                self._report.trees.append(record)
-            # On apply-time divergence the record is dropped: the sweep
-            # below re-attempts the family first-fit and produces the
-            # canonical records for whatever it decides.
-        for index, seed in enumerate(seeds):
-            if self._meter.time_exceeded():
-                self._abort_remark(block, seeds[index:])
-                return
-            self._sweep(seed)
-        self._apply_reductions(block)
-
-    def _sweep(self, seed: SeedGroup) -> None:
-        """First-fit over everything selection left on the table: a
-        still-alive family gets the legacy width descent; a partially
-        applied family descends to its still-alive halves."""
-        if seed.alive():
-            self._vectorize_seed(seed)
-            return
-        if seed.vector_length < 4:
-            return
-        half = seed.vector_length // 2
-        for part in (SeedGroup(seed.stores[:half]),
-                     SeedGroup(seed.stores[half:])):
-            self._sweep(part)
-
     # ---- budget-degrade reporting ------------------------------------
 
     def _abort_remark(self, block: BasicBlock,
@@ -1012,7 +983,7 @@ class Applier:
 
 def record_outcomes(block_plan: BlockPlan, applier: Optional[Applier],
                     mode: str, cost_threshold: int,
-                    selection: Optional[Selection] = None) -> None:
+                    selection: Selection = Selection()) -> None:
     """Classify every enumerated plan against what the applier actually
     did, stream ``select``/``reject`` records, bump ``plan.*`` metrics,
     and stream ``plan.dump`` records (``--plan-dump``).  Without an
@@ -1021,10 +992,7 @@ def record_outcomes(block_plan: BlockPlan, applier: Optional[Applier],
     ``stale``."""
     verdicts = _records.wants("select") or _records.wants("reject")
     dump = _records.wants("plan.dump")
-    pressure_rejected = (
-        frozenset(selection.pressure_rejected)
-        if selection is not None else frozenset()
-    )
+    pressure_rejected = frozenset(selection.pressure_rejected)
     applied = 0
     for plan_id, plan in block_plan.plans.items():
         if applier is None:
@@ -1033,7 +1001,6 @@ def record_outcomes(block_plan: BlockPlan, applier: Optional[Applier],
             outcome, reason = _classify(plan, applier, cost_threshold)
         if outcome != "applied" and plan_id in pressure_rejected:
             reason = "reg-pressure"
-        block_plan.outcomes[plan_id] = (outcome, reason)
         if outcome == "applied":
             applied += 1
         if verdicts:

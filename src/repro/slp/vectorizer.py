@@ -12,19 +12,20 @@ paper's four appear as factory methods:
   Figure 13 sensitivity study sweeps.
 
 :class:`ModuleVectorizationDriver` is the one SLP driver: it takes
-each block through the three phases of :mod:`repro.slp.plan`, and
-:class:`SLPVectorizer` runs it over a lone function:
+each block through the three phases of :mod:`repro.slp.plan`, whatever
+the mode, and a lone function is a module of one:
 
 1. **plan** — enumerate immutable :class:`~repro.slp.plan.TreePlan`
    candidates (full width, both halves eagerly, reductions) without
    touching the IR, on an isolated analysis context and a phase-scoped
    budget meter;
 2. **select** — resolve conflicts between overlapping candidates.  The
-   default ``plan_select="legacy"`` skips selection entirely and lets
-   the applier's greedy first-fit decide, reproducing the historical
-   pipeline byte-for-byte; ``"module-greedy"``/``"module-exhaustive"``
-   pick the best non-conflicting subset by plan-time total cost over
-   the whole module;
+   default ``plan_select="legacy"`` selects nothing: every block keeps
+   the empty selection and the applier's greedy first-fit decides,
+   reproducing the historical pipeline's trees byte-for-byte;
+   ``"module-greedy"``/``"module-exhaustive"`` pick the best
+   non-conflicting subset by plan-time total cost over the whole
+   module;
 3. **apply** — materialize trees through ``VectorCodeGen`` in
    deterministic order, emitting a tree as planned while nothing has
    been emitted into its function since planning and no budget check
@@ -219,25 +220,6 @@ class VectorizationReport:
         self.stats.lookahead_evals += other.stats.lookahead_evals
 
 
-class SLPVectorizer:
-    """The one-function entry point: a lone function vectorized by its
-    own :class:`ModuleVectorizationDriver` (it is its own module)."""
-
-    def __init__(self, config: Optional[VectorizerConfig] = None,
-                 target: Optional[TargetCostModel] = None):
-        self.config = config if config is not None else VectorizerConfig.lslp()
-        self.target = target if target is not None else skylake_like()
-
-    def run_function(self, func: Function,
-                     module_meter: Optional[ModuleMeter] = None
-                     ) -> VectorizationReport:
-        if not self.config.enabled:
-            return VectorizationReport(func.name, self.config.name)
-        driver = ModuleVectorizationDriver(self.config, self.target,
-                                           module_meter)
-        return driver.apply_function(func)
-
-
 def _publish_report_metrics(report: VectorizationReport) -> None:
     """Publish one function's tallies into the metrics registry (one
     flag check when publication is off)."""
@@ -269,8 +251,9 @@ class _PlannedBlock:
     aa: AliasAnalysis
     #: the function's emission count when this block was planned
     epoch: int = 0
-    #: the selection verdict, once :meth:`select` has run
-    selection: Optional[Selection] = None
+    #: the selection verdict; empty until :meth:`select` picks, and
+    #: under ``legacy``
+    selection: Selection = Selection()
 
 
 @dataclass
@@ -283,7 +266,6 @@ class _PlannedFunction:
     #: (``max_lookahead_evals``, ...) bound the whole function's
     #: planning like the apply meter's bound its apply phase
     plan_meter: BudgetMeter
-    ids: itertools.count
     blocks: list[_PlannedBlock] = field(default_factory=list)
     #: trees and reductions emitted into the function so far: a block
     #: whose epoch still equals it was planned on the IR it is applied
@@ -302,12 +284,11 @@ class ModuleVectorizationDriver:
     (``repro.opt.pipelines``) can wrap each function's apply in its own
     pass guard.
 
-    Every ``plan_select`` mode runs here.  ``legacy`` never selects: it
-    plans each block in :meth:`apply_function`, just before applying
-    it.  The selecting modes (``module-*``) plan every function first,
-    then select once for all of them.  A function :meth:`apply_function`
-    meets unplanned is, under a selecting mode, planned and selected on
-    its own.
+    Every ``plan_select`` mode runs here, in one order: every function
+    is planned first, then one selection runs for all of them (none
+    under ``legacy``), then each function is applied.  A function
+    :meth:`apply_function` meets unplanned is planned and selected on
+    its own.  Plan ids come from one driver-wide counter in every mode.
 
     Seeds and apply-phase analysis contexts are captured at plan time.
     The applier re-checks liveness; it emits a planned tree as built
@@ -358,7 +339,8 @@ class ModuleVectorizationDriver:
 
     def select(self) -> None:
         """Phase 2: one selection over every function planned since the
-        last call (``legacy`` never selects)."""
+        last call (``legacy`` never selects: its blocks keep the empty
+        selection)."""
         if self.selector is None or not self._unselected:
             return
         blocks = [(planned.report.function, pb)
@@ -375,13 +357,10 @@ class ModuleVectorizationDriver:
     def apply_function(self, func: Function) -> VectorizationReport:
         """Phase 3 for one function: materialize its blocks in order."""
         with compiling(func.name, self.config.name, "slp") as context:
-            if self.selector is not None:
-                if func.name not in self._planned:
-                    self.plan_function(func)
-                self.select()
-            planned = self._planned.pop(func.name, None)
-            if planned is None:
-                planned = self._start(func)
+            if func.name not in self._planned:
+                self.plan_function(func)
+            self.select()
+            planned = self._planned.pop(func.name)
             ahead = {id(pb.block): pb for pb in planned.blocks}
             report, meter = planned.report, planned.meter
             with span("slp.function", function=func.name,
@@ -390,15 +369,15 @@ class ModuleVectorizationDriver:
                     pb = ahead.pop(id(block), None)
                     if pb is None:
                         pb = self._plan_block(planned, block)
-                    selection = self._selection(pb)
                     applier = Applier(self.config, self.target,
                                       untouched=pb.epoch == planned.emitted)
-                    applier.apply(block, pb.block_plan, selection,
+                    applier.apply(block, pb.block_plan, pb.selection,
                                   pb.seeds, pb.ctx, pb.aa, report, meter)
                     planned.emitted += applier.emitted
                     record_outcomes(pb.block_plan, applier,
                                     self.config.plan_select,
-                                    self.config.cost_threshold, selection)
+                                    self.config.cost_threshold,
+                                    pb.selection)
             for pb in ahead.values():
                 record_outcomes(pb.block_plan, None, self.config.plan_select,
                                 self.config.cost_threshold)
@@ -439,14 +418,9 @@ class ModuleVectorizationDriver:
     def _start(self, func: Function) -> _PlannedFunction:
         meter = BudgetMeter(self.config.budget, module=self.module_meter)
         meter.start_function()
-        # Legacy plan ids restart per function, as legacy plan dumps
-        # have always numbered them; (function, block, plan_id) is
-        # unique either way.
-        ids = (self._plan_ids if self.selector is not None
-               else itertools.count())
         return _PlannedFunction(
             VectorizationReport(func.name, self.config.name), meter,
-            meter.phase_meter(), ids,
+            meter.phase_meter(),
         )
 
     def _plan_block(self, planned: _PlannedFunction,
@@ -462,7 +436,7 @@ class ModuleVectorizationDriver:
         aa = AliasAnalysis(ctx.scev)
         seeds = collect_store_seeds(block, ctx.scev, self.target)
         plan_ctx = LookAheadContext(ScalarEvolution())
-        planner = Planner(self.config, self.target, ids=planned.ids,
+        planner = Planner(self.config, self.target, ids=self._plan_ids,
                           function=planned.report.function)
         block_plan = planner.plan_block(
             block, seeds, plan_ctx, AliasAnalysis(plan_ctx.scev),
@@ -471,21 +445,11 @@ class ModuleVectorizationDriver:
         return _PlannedBlock(block, seeds, block_plan, ctx, aa,
                              epoch=planned.emitted)
 
-    def _selection(self, pb: _PlannedBlock) -> Optional[Selection]:
-        if self.selector is None:
-            return None
-        if pb.selection is None:
-            # planned at apply time: the module selection never saw it
-            return Selection(mode=self.config.plan_select, chosen=(),
-                             planned_total=0, note="first-fit")
-        return pb.selection
-
 
 __all__ = [
     "MODULE_SELECT_MODES",
     "ModuleVectorizationDriver",
     "PLAN_SELECT_MODES",
-    "SLPVectorizer",
     "TreeRecord",
     "VectorizationReport",
     "VectorizerConfig",

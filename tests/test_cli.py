@@ -1,5 +1,7 @@
 """Tests for the ``lslp`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -10,6 +12,23 @@ void kernel(long i) {
     A[i + 0] = (B[i + 0] << 1) & (C[i + 0] << 2);
     A[i + 1] = (C[i + 1] << 3) & (B[i + 1] << 4);
 }
+"""
+
+
+#: an entry that calls a helper the inliner keeps (it has a loop), so
+#: only compiling the helper itself vectorizes its four stores
+HELPER_MODULE = """
+double A[1024], B[1024], C[1024];
+double helper(long n) {
+    double s = 0.0;
+    for (long j = 0; j < n; j = j + 1) { s = s + B[j]; }
+    A[100] = B[100] * C[100] + B[102];
+    A[101] = B[101] * C[101] + B[103];
+    A[102] = B[102] * C[102] + B[104];
+    A[103] = B[103] * C[103] + B[105];
+    return s;
+}
+void kernel(long i) { A[0] = helper(i); }
 """
 
 
@@ -76,6 +95,26 @@ class TestRun:
     def test_malformed_arg(self, kernel_file):
         with pytest.raises(SystemExit, match="malformed"):
             main(["run", kernel_file, "--arg", "i"])
+
+    def test_run_compiles_every_function(self, tmp_path, capsys):
+        """``run`` compiles the module ``compile`` compiles, so the
+        helper the entry calls runs vectorized and reports its
+        remarks; the oracle still checks the entry."""
+        path = tmp_path / "helper.c"
+        path.write_text(HELPER_MODULE)
+
+        def run(config):
+            assert main(["run", str(path), "--arg", "i=8", "--config",
+                         config, "--verify", "--remarks"]) == 0
+            out = capsys.readouterr().out
+            assert f"verify: @kernel scalar and {config.upper()} " \
+                "outputs match" in out
+            return int(re.search(r"(\d+) cycles", out).group(1)), out
+
+        lslp, out = run("lslp")
+        scalar, _ = run("o3")
+        assert lslp < scalar
+        assert "[@helper, pass 'unroll']" in out
 
 
 class TestInspection:

@@ -38,6 +38,7 @@ from repro.kernels import (
     MODULE_SELECT_BUDGET,
     MODULEWIDE_KERNELS,
     OVERLAP_KERNELS,
+    VSUMSQR_LIB,
 )
 from repro.obs import metrics, records
 from repro.obs.records import ListSink
@@ -143,6 +144,22 @@ def test_subset_search_beats_greedy_on_mult_su2(base):
     }
 
 
+@pytest.mark.parametrize("base", [VectorizerConfig.slp(),
+                                  VectorizerConfig.lslp()],
+                         ids=lambda config: config.name)
+def test_every_mode_costs_a_module_with_calls_alike(base):
+    """Every mode stages every function's scalar passes before any SLP,
+    so ``ext.vsumsqr-lib``'s caller inlines the scalar helper body and
+    vectorizes it itself: the per-function costs do not depend on the
+    mode."""
+    costs = {}
+    for mode in PLAN_SELECT_MODES:
+        module, _ = VSUMSQR_LIB.build()
+        results = compile_module(module, replace(base, plan_select=mode))
+        costs[mode] = [result.static_cost for result in results]
+    assert costs == {mode: [-4, -16] for mode in PLAN_SELECT_MODES}
+
+
 @pytest.mark.parametrize("kernel", MODULEWIDE_KERNELS,
                          ids=lambda k: k.name)
 def test_module_selection_preserves_semantics(kernel):
@@ -237,8 +254,9 @@ def test_module_dump_covers_every_candidate_with_verdict():
 
 
 def test_legacy_plan_dump_names_every_function():
-    """Legacy plan ids restart per function; the function name keeps
-    each dump entry's (function, block, plan_id) key unique."""
+    """Every dump entry names its function, and plan ids are numbered
+    module-wide in every mode, so each (function, block, plan_id) key
+    is unique."""
     with _plan_dump() as plans:
         _compile(MODULE_BUDGET_TWIN, "legacy")
     keys = [(e["function"], e["block"], e["plan_id"]) for e in plans]

@@ -85,13 +85,14 @@ class TestTracing:
         assert "opt.slp" in names
         assert "slp.codegen" in names
         # The one tree is emitted as planned: the plan-time build that
-        # produced the code nests under the slp pass, which nests under
-        # the compile.function root, and nothing is built again.
+        # produced the code nests under the function's planning, which
+        # runs after its scalar passes and before its compile.function
+        # root, and nothing is built again.
         assert "slp.build_graph" not in names
         chain = _ancestors(tracer, "slp.plan_graph")
-        assert "slp.function" in chain
-        assert "opt.slp" in chain
-        assert "compile.function" in chain
+        assert "slp.module_plan" in chain
+        assert "slp.function" not in chain
+        assert "compile.function" not in chain
         # An apply-time rebuild nests the same way.
         chain = _ancestors(_compile_traced(TWO_TREE_KERNEL),
                            "slp.build_graph")

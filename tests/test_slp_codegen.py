@@ -5,15 +5,16 @@ import pytest
 from repro.interp import compare_runs
 from repro.ir import verify_function
 from repro.opt import compile_function, run_dce
-from repro.slp import SLPVectorizer, VectorizerConfig
+from repro.slp import VectorizerConfig
+from repro.slp.vectorizer import ModuleVectorizationDriver
 from tests.conftest import build_kernel
 
 
 def vectorize(source, config=None, entry="kernel"):
     reference = build_kernel(source, entry)
     module, func = build_kernel(source, entry)
-    vectorizer = SLPVectorizer(config or VectorizerConfig.lslp())
-    report = vectorizer.run_function(func)
+    driver = ModuleVectorizationDriver(config or VectorizerConfig.lslp())
+    report = driver.apply_function(func)
     verify_function(func)
     run_dce(func)
     verify_function(func)
